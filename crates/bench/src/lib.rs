@@ -1,6 +1,6 @@
-//! Benchmark harness crate: see `benches/` for per-experiment Criterion
-//! benches (feature-gated behind `criterion-benches`) and
-//! `src/bin/reproduce.rs` for the table generator that regenerates every
-//! experiment family of DESIGN.md §6 through the unified `Engine` API.
+//! Benchmark harness crate: `src/bin/reproduce.rs` is the table generator
+//! that regenerates every experiment family of DESIGN.md §6 through the
+//! unified `Engine` API, and `src/bin/batch_bench.rs` measures the batch
+//! path.
 
 #![forbid(unsafe_code)]

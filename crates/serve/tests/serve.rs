@@ -1035,6 +1035,30 @@ fn trace_capture_roundtrip() {
 }
 
 #[test]
+fn solve_batch_trace_carries_the_stream_workers_spans() {
+    let server = traced_server(1.0, None);
+    let addr = server.addr();
+    let body = format!(r#"{{"jobs":[{SOLVE_BODY},{SOLVE_BODY}]}}"#);
+    let (status, _, reply) = raw_full(
+        addr,
+        &format!(
+            "POST /solve-batch HTTP/1.1\r\nx-trace-id: ba7c4\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 200, "{reply}");
+    // The solves run on stream workers, which adopt the request's trace
+    // id: the capture holds their solve and tier spans.
+    let (status, trace_body) = get(addr, "/trace/ba7c4");
+    assert_eq!(status, 200, "{trace_body}");
+    assert!(trace_body.contains("\"cat\":\"request\""), "{trace_body}");
+    assert!(trace_body.contains("\"cat\":\"solve\""), "{trace_body}");
+    assert!(trace_body.contains("\"cat\":\"tier\""), "{trace_body}");
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn slow_requests_are_captured_without_sampling() {
     // Sampler off; every request is slower than 0 ms, so slow capture
     // takes all of them.

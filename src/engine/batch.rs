@@ -4,12 +4,14 @@
 //! and [`Engine::solve_jobs`] (a slice of mixed-problem [`Job`]s) are the
 //! slice entry points: per-instance failures stay independent (one
 //! unsolvable torus does not poison the batch — even a panicking solver
-//! comes back as a typed [`SolveError::Panicked`]), interchangeable jobs
-//! dedup so each distinct labelling is computed once, and distinct jobs
-//! dispatch over the worker pool configured with
-//! [`EngineBuilder::threads`](crate::engine::EngineBuilder::threads).
-//! For workloads too large to materialise, use the streaming surface
-//! ([`Engine::solve_stream`](crate::engine::Engine::solve_stream)).
+//! comes back as a typed [`SolveError::Panicked`]), and interchangeable
+//! jobs dedup so each distinct labelling is computed once. A slice is
+//! three steps over the one execution path: group the jobs
+//! (`dedup_groups`), send owned clones of the group representatives
+//! through [`Engine::solve_stream_with`] (whose workers are the ones
+//! configured with
+//! [`EngineBuilder::threads`](crate::engine::EngineBuilder::threads)),
+//! and put each outcome back by its input index.
 //!
 //! Dedup shares only between jobs of the *same prepared handle* (with
 //! the canonical cache key namespacing the hash buckets): two problems —
@@ -22,11 +24,10 @@
 //! `tests/batch.rs` pin this down byte-for-byte.
 
 use super::registry::fnv1a64;
-use super::{pool, Engine, Instance, Labelling, PreparedProblem, SolveError};
+use super::{Engine, Instance, Labelling, PreparedProblem, SolveError};
 use lcl_sat::Budget;
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// One unit of batch or stream work: a prepared problem plus an instance
@@ -92,8 +93,8 @@ pub struct ProblemBatchStats {
     pub solved: usize,
     /// Jobs that failed.
     pub failed: usize,
-    /// Jobs answered by the in-batch labelling cache instead of a fresh
-    /// solve.
+    /// Jobs answered by the in-batch labelling cache or the stream dedup
+    /// window instead of a fresh solve.
     pub dedup_hits: usize,
     /// Fresh solves answered by the §7 synthesised normal form (the
     /// solver whose tables ride the registry's synthesis cache).
@@ -131,8 +132,9 @@ impl BatchReport {
         self.results.len() - self.solved()
     }
 
-    /// Jobs answered by the in-batch labelling cache instead of a fresh
-    /// solve (duplicates of an earlier job in the same batch).
+    /// Jobs answered without a fresh solve: duplicates of an earlier job
+    /// in the same batch, plus answers from a configured
+    /// [`stream_dedup_window`](crate::engine::EngineBuilder::stream_dedup_window).
     pub fn dedup_hits(&self) -> usize {
         self.dedup_hits
     }
@@ -187,7 +189,7 @@ impl fmt::Display for BatchReport {
 
 /// A borrowed batch item: the shape both slice entry points lower to —
 /// prepared problem, instance, and the optional per-job budget override.
-type JobRef<'a> = (&'a PreparedProblem, &'a Instance, Option<&'a Budget>);
+type JobRef<'a> = (&'a Arc<PreparedProblem>, &'a Instance, Option<&'a Budget>);
 
 /// Groups a batch into equivalence classes of interchangeable jobs: same
 /// prepared problem, same canonical topology, same dimensions, same
@@ -210,16 +212,18 @@ type JobRef<'a> = (&'a PreparedProblem, &'a Instance, Option<&'a Budget>);
 /// input order) and, per job, the index of its group. Grouping is keyed
 /// by an FNV hash of the cache key, canonical topology tag, dimensions,
 /// and identifiers, but always verified against the actual jobs, so a
-/// hash collision costs a comparison, never a wrong share.
-fn dedup_groups(jobs: &[JobRef<'_>]) -> (Vec<usize>, Vec<usize>) {
+/// hash collision costs a comparison, never a wrong share. With `dedup`
+/// off every job is its own group.
+fn dedup_groups(jobs: &[JobRef<'_>], dedup: bool) -> (Vec<usize>, Vec<usize>) {
     let mut reps: Vec<usize> = Vec::new();
     let mut group_of: Vec<usize> = Vec::with_capacity(jobs.len());
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     for (i, (prepared, inst, budget)) in jobs.iter().enumerate() {
-        // A job with its own budget is never interchangeable: the budget
-        // is consumable state (see `Job::with_budget`), so it forms a
-        // private group — and is not registered as a share target either.
-        if budget.is_some() {
+        // With dedup off every job forms a private group. So does a job
+        // with its own budget: the budget is consumable state (see
+        // `Job::with_budget`), so it is never interchangeable — and is not
+        // registered as a share target either.
+        if !dedup || budget.is_some() {
             let g = reps.len();
             reps.push(i);
             group_of.push(g);
@@ -228,7 +232,7 @@ fn dedup_groups(jobs: &[JobRef<'_>]) -> (Vec<usize>, Vec<usize>) {
         let bucket = buckets.entry(job_fingerprint(prepared, inst)).or_default();
         let group = bucket.iter().copied().find(|&g| {
             let (rep_prepared, rep_inst, _) = jobs[reps[g]];
-            std::ptr::eq(rep_prepared, *prepared) && rep_inst.same_input(inst)
+            Arc::ptr_eq(rep_prepared, prepared) && rep_inst.same_input(inst)
         });
         match group {
             Some(g) => group_of.push(g),
@@ -262,31 +266,6 @@ pub(crate) fn job_fingerprint(prepared: &PreparedProblem, inst: &Instance) -> u6
     )
 }
 
-/// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Solves one job under a budget, mapping a panicking solver to a typed
-/// error.
-pub(crate) fn solve_caught(
-    prepared: &PreparedProblem,
-    inst: &Instance,
-    budget: &Budget,
-) -> Result<Labelling, SolveError> {
-    catch_unwind(AssertUnwindSafe(|| prepared.solve_with(inst, budget))).unwrap_or_else(|payload| {
-        Err(SolveError::Panicked {
-            detail: panic_detail(payload),
-        })
-    })
-}
-
 /// Aggregates the per-problem rows of a finished batch. Rows are keyed
 /// by prepared-handle identity — the same criterion dedup shares by — so
 /// key-equal handles from differently-configured engines report as
@@ -299,20 +278,18 @@ fn per_problem_stats(
     let mut rows: Vec<ProblemBatchStats> = Vec::new();
     let mut row_of: HashMap<*const PreparedProblem, usize> = HashMap::new();
     for (i, (prepared, _, _)) in jobs.iter().enumerate() {
-        let row = *row_of
-            .entry(std::ptr::from_ref(*prepared))
-            .or_insert_with(|| {
-                rows.push(ProblemBatchStats {
-                    problem: prepared.spec().name().to_string(),
-                    cache_key: prepared.cache_key().to_string(),
-                    jobs: 0,
-                    solved: 0,
-                    failed: 0,
-                    dedup_hits: 0,
-                    synth_solves: 0,
-                });
-                rows.len() - 1
+        let row = *row_of.entry(Arc::as_ptr(prepared)).or_insert_with(|| {
+            rows.push(ProblemBatchStats {
+                problem: prepared.spec().name().to_string(),
+                cache_key: prepared.cache_key().to_string(),
+                jobs: 0,
+                solved: 0,
+                failed: 0,
+                dedup_hits: 0,
+                synth_solves: 0,
             });
+            rows.len() - 1
+        });
         let stats = &mut rows[row];
         stats.jobs += 1;
         match &results[i] {
@@ -338,11 +315,15 @@ impl Engine {
     ///
     /// Interchangeable instances are solved once per batch (see
     /// [`EngineBuilder::dedup`](crate::engine::EngineBuilder::dedup)), and
-    /// distinct instances are dispatched over the configured worker pool
+    /// distinct instances ride the stream's workers
     /// ([`EngineBuilder::threads`](crate::engine::EngineBuilder::threads)).
     /// Results come back in input order; per-instance failures — including
     /// solver panics — stay independent.
-    pub fn solve_batch(&self, prepared: &PreparedProblem, instances: &[Instance]) -> BatchReport {
+    pub fn solve_batch(
+        &self,
+        prepared: &Arc<PreparedProblem>,
+        instances: &[Instance],
+    ) -> BatchReport {
         self.solve_batch_with(prepared, instances, &Budget::unlimited())
     }
 
@@ -353,7 +334,7 @@ impl Engine {
     /// error, and per-job failures stay independent as always.
     pub fn solve_batch_with(
         &self,
-        prepared: &PreparedProblem,
+        prepared: &Arc<PreparedProblem>,
         instances: &[Instance],
         budget: &Budget,
     ) -> BatchReport {
@@ -368,83 +349,55 @@ impl Engine {
     /// [`Engine::solve_batch`]: input order preserved, per-job failures
     /// independent, dedup namespaced by each job's prepared problem.
     pub fn solve_jobs(&self, jobs: &[Job]) -> BatchReport {
-        self.solve_jobs_with(jobs, &Budget::unlimited())
-    }
-
-    /// [`Engine::solve_jobs`] under a joint cooperative [`Budget`] (see
-    /// [`Engine::solve_batch_with`]).
-    pub fn solve_jobs_with(&self, jobs: &[Job], budget: &Budget) -> BatchReport {
         let refs: Vec<JobRef<'_>> = jobs
             .iter()
-            .map(|job| (&*job.prepared, &job.instance, job.budget()))
+            .map(|job| (&job.prepared, &job.instance, job.budget()))
             .collect();
-        self.run_batch(&refs, budget)
+        self.run_batch(&refs, &Budget::unlimited())
     }
 
     fn run_batch(&self, jobs: &[JobRef<'_>], budget: &Budget) -> BatchReport {
-        if !self.dedup_enabled() {
-            let threads = self.batch_threads(jobs.len());
-            let results = pool::run_indexed(threads, jobs.len(), |i| {
-                solve_caught(jobs[i].0, jobs[i].1, jobs[i].2.unwrap_or(budget))
-            });
-            let fresh = vec![true; jobs.len()];
-            let per_problem = per_problem_stats(jobs, &results, &fresh);
-            return BatchReport {
-                results,
-                dedup_hits: 0,
-                threads,
-                per_problem,
-            };
+        let (reps, group_of) = dedup_groups(jobs, self.dedup);
+        // The stream caps its workers at the deduped list's length, so
+        // the report never claims workers that had nothing to run.
+        let stream = self.solve_stream_with(
+            reps.iter()
+                .map(|&i| {
+                    let (prepared, instance, job_budget) = jobs[i];
+                    Job {
+                        prepared: Arc::clone(prepared),
+                        instance: instance.clone(),
+                        budget: job_budget.cloned(),
+                    }
+                })
+                .collect::<Vec<Job>>(),
+            budget,
+        );
+        let threads = stream.threads();
+        let mut results = vec![None; jobs.len()];
+        let mut fresh = vec![false; jobs.len()];
+        for outcome in stream {
+            let rep = reps[outcome.index as usize];
+            results[rep] = Some(outcome.result);
+            fresh[rep] = !outcome.deduped;
         }
-        let (reps, group_of) = dedup_groups(jobs);
-        // Size the pool to the deduped work list, so the report never
-        // claims workers that had nothing to run.
-        let threads = self.batch_threads(reps.len());
-        let mut rep_results: Vec<Option<Result<Labelling, SolveError>>> =
-            pool::run_indexed(threads, reps.len(), |g| {
-                let (prepared, inst, job_budget) = jobs[reps[g]];
-                solve_caught(prepared, inst, job_budget.unwrap_or(budget))
-            })
+        // Fan each representative's result out to its later duplicates: an
+        // all-distinct batch (the common case) pays zero clones.
+        for (i, &g) in group_of.iter().enumerate() {
+            if results[i].is_none() {
+                results[i] = results[reps[g]].clone();
+            }
+        }
+        let results: Vec<Result<Labelling, SolveError>> = results
             .into_iter()
-            .map(Some)
-            .collect();
-        // Move each group's result into its last occurrence and clone only
-        // for the earlier duplicates: an all-distinct batch (the common
-        // case) pays zero clones.
-        let mut remaining = vec![0usize; reps.len()];
-        for &g in &group_of {
-            remaining[g] += 1;
-        }
-        let fresh: Vec<bool> = group_of
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| reps[g] == i)
-            .collect();
-        let results: Vec<Result<Labelling, SolveError>> = group_of
-            .iter()
-            .map(|&g| {
-                remaining[g] -= 1;
-                let slot = &mut rep_results[g];
-                if remaining[g] == 0 {
-                    slot.take()
-                } else {
-                    slot.clone()
-                }
-                .expect("each group result is moved out exactly once")
-            })
+            .map(|r| r.expect("the stream yields every representative"))
             .collect();
         let per_problem = per_problem_stats(jobs, &results, &fresh);
         BatchReport {
             results,
-            dedup_hits: jobs.len() - reps.len(),
+            dedup_hits: fresh.iter().filter(|&&f| !f).count(),
             threads,
             per_problem,
         }
-    }
-
-    /// Resolves the configured thread count for a batch of `len` items
-    /// (`0` = all cores; never more workers than items).
-    fn batch_threads(&self, len: usize) -> usize {
-        self.worker_threads().min(len.max(1))
     }
 }

@@ -10,12 +10,14 @@
 //! engine, shared with every [`super::PreparedProblem`] it prepares and
 //! exported by `lcl-serve`'s `/metrics` and `/healthz`.
 //!
-//! Only *infrastructure* failures count against a breaker: panics,
-//! `SolverFailed`, validation failures, and budget trips. Domain
-//! verdicts — `Unsolvable`, `TorusTooSmall`, `SynthesisFailed` — are
-//! correct answers, and count as successes (a half-open probe answering
-//! one closes its breaker rather than wedging the probe slot).
+//! The tier walk feeds every attempt through [`Health::record`]. Only
+//! *infrastructure* failures count against a breaker: budget trips,
+//! `SolverFailed`, and validation failures. Domain verdicts are correct
+//! answers and count as successes; cancelled or panicked attempts are
+//! neutral. Either way a half-open probe is settled, never wedged.
 
+use super::SolveError;
+use lcl_trace::{TierAttempt, TierOutcome};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -51,6 +53,39 @@ impl BreakerState {
             BreakerState::Open => "open",
             BreakerState::HalfOpen => "half-open",
         }
+    }
+}
+
+/// What one tier attempt tells its circuit breaker (DESIGN.md §10.3).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum AttemptVerdict {
+    /// The tier works: closes the breaker.
+    Success,
+    /// An infrastructure failure: counts toward a trip.
+    Failure,
+    /// No evidence either way: releases a half-open probe uncounted.
+    Neutral,
+}
+
+/// How a dispatched tier attempt ended, for the cost ledger and for the
+/// breaker: the outcome table of DESIGN.md §10.3.
+pub(crate) fn attempt_end<T>(result: &Result<T, SolveError>) -> (TierOutcome, AttemptVerdict) {
+    use AttemptVerdict::{Failure, Neutral, Success};
+    match result {
+        Ok(_) => (TierOutcome::Solved, Success),
+        Err(SolveError::Unsolvable { .. }) => (TierOutcome::Unsolvable, Success),
+        // Policy discards: too small for the tier, or over the round budget.
+        Err(SolveError::TorusTooSmall { .. } | SolveError::RoundBudgetExceeded { .. }) => {
+            (TierOutcome::Skipped, Success)
+        }
+        Err(SolveError::DeadlineExceeded { .. }) => (TierOutcome::Timeout, Failure),
+        Err(SolveError::Cancelled) => (TierOutcome::Cancelled, Neutral),
+        Err(SolveError::SolverFailed { .. } | SolveError::ValidationFailed { .. }) => {
+            (TierOutcome::Failed, Failure)
+        }
+        Err(SolveError::Panicked { .. }) => (TierOutcome::Failed, Neutral),
+        // Domain verdicts (e.g. `SynthesisFailed`) prove the tier works.
+        Err(_) => (TierOutcome::Failed, Success),
     }
 }
 
@@ -147,39 +182,64 @@ impl Health {
         }
     }
 
-    /// Records a successful (or domain-verdict) dispatch: closes the
-    /// breaker and resets the failure streak and cooldown.
-    pub fn record_success(&self, solver: &str) {
-        let mut breakers = self.lock_breakers();
-        if let Some(b) = breakers.get_mut(solver) {
-            b.state = BreakerState::Closed;
-            b.consecutive_failures = 0;
-            b.cooldown = BREAKER_BASE_COOLDOWN;
-        }
-    }
-
-    /// Records an infrastructure failure. A `HalfOpen` probe failure
-    /// re-opens immediately with a doubled cooldown; a `Closed` streak
-    /// reaching [`BREAKER_THRESHOLD`] trips the breaker open.
-    pub fn record_failure(&self, solver: &str) {
-        let mut breakers = self.lock_breakers();
-        let b = breakers
-            .entry(solver.to_string())
-            .or_insert_with(Breaker::new);
-        b.consecutive_failures = b.consecutive_failures.saturating_add(1);
-        match b.state {
-            BreakerState::HalfOpen => {
-                b.state = BreakerState::Open;
-                b.opened_at = Instant::now();
-                b.cooldown = (b.cooldown * 2).min(BREAKER_MAX_COOLDOWN);
-                b.trips += 1;
-            }
-            BreakerState::Closed if b.consecutive_failures >= BREAKER_THRESHOLD => {
-                b.state = BreakerState::Open;
-                b.opened_at = Instant::now();
-                b.trips += 1;
-            }
+    /// Records one tier attempt: counts a breaker skip or a timeout of
+    /// its tier, and a fallback of `fallback_from` (the walk's first
+    /// timed-out tier, when this attempt answered after it), then applies
+    /// `verdict` to the attempt's breaker. `verdict` is `None` for a tier
+    /// that was never dispatched: a skip leaves its breaker alone.
+    pub(crate) fn record(
+        &self,
+        attempt: &TierAttempt,
+        verdict: Option<AttemptVerdict>,
+        fallback_from: Option<&str>,
+    ) {
+        let tier = attempt.tier.as_str();
+        match attempt.outcome {
+            TierOutcome::BreakerSkip => self.count(tier, "breaker-skip", |c| c.breaker_skips += 1),
+            TierOutcome::Timeout => self.count(tier, "tier-timeout", |c| c.timeouts += 1),
             _ => {}
+        }
+        if let Some(first) = fallback_from {
+            self.count(first, "tier-fallback", |c| c.fallbacks += 1);
+        }
+        let Some(verdict) = verdict else {
+            return;
+        };
+        let mut breakers = self.lock_breakers();
+        // Breakers materialise on their first failure.
+        if verdict == AttemptVerdict::Failure && !breakers.contains_key(tier) {
+            breakers.insert(tier.to_string(), Breaker::new());
+        }
+        let Some(b) = breakers.get_mut(tier) else {
+            return;
+        };
+        match verdict {
+            AttemptVerdict::Success => {
+                b.state = BreakerState::Closed;
+                b.consecutive_failures = 0;
+                b.cooldown = BREAKER_BASE_COOLDOWN;
+            }
+            // Back to `Open` with the cooldown already elapsed: the next
+            // `allow` claims a fresh probe.
+            AttemptVerdict::Neutral if b.state == BreakerState::HalfOpen => {
+                b.state = BreakerState::Open;
+            }
+            AttemptVerdict::Failure => {
+                b.consecutive_failures = b.consecutive_failures.saturating_add(1);
+                let probe_failed = b.state == BreakerState::HalfOpen;
+                if probe_failed
+                    || (b.state == BreakerState::Closed
+                        && b.consecutive_failures >= BREAKER_THRESHOLD)
+                {
+                    if probe_failed {
+                        b.cooldown = (b.cooldown * 2).min(BREAKER_MAX_COOLDOWN);
+                    }
+                    b.state = BreakerState::Open;
+                    b.opened_at = Instant::now();
+                    b.trips += 1;
+                }
+            }
+            AttemptVerdict::Neutral => {}
         }
     }
 
@@ -221,34 +281,12 @@ impl Health {
         self.lock_breakers().values().map(|b| b.trips).sum()
     }
 
-    /// Counts a budget trip in `tier` (and drops an instant mark on the
-    /// current trace, so timeline views show *where* the walk lost its
-    /// budget).
-    pub fn record_timeout(&self, tier: &str) {
-        lcl_trace::mark(lcl_trace::SpanKind::Mark, "tier-timeout", [0; 4]);
-        self.lock_tiers()
-            .entry(tier.to_string())
-            .or_default()
-            .timeouts += 1;
-    }
-
-    /// Counts a solve answered by a later tier after `tier` timed out.
-    pub fn record_fallback(&self, tier: &str) {
-        lcl_trace::mark(lcl_trace::SpanKind::Mark, "tier-fallback", [0; 4]);
-        self.lock_tiers()
-            .entry(tier.to_string())
-            .or_default()
-            .fallbacks += 1;
-    }
-
-    /// Counts a dispatch skipped because `tier`'s breaker was open
-    /// (marked on the current trace like a timeout).
-    pub fn record_breaker_skip(&self, tier: &str) {
-        lcl_trace::mark(lcl_trace::SpanKind::Mark, "breaker-skip", [0; 4]);
-        self.lock_tiers()
-            .entry(tier.to_string())
-            .or_default()
-            .breaker_skips += 1;
+    /// Bumps one of `tier`'s counters, dropping an instant mark named
+    /// `mark` on the current trace so timeline views show *where* the
+    /// walk lost its budget or skipped a tier.
+    fn count(&self, tier: &str, mark: &str, bump: impl FnOnce(&mut TierCounters)) {
+        lcl_trace::mark(lcl_trace::SpanKind::Mark, mark, [0; 4]);
+        bump(self.lock_tiers().entry(tier.to_string()).or_default());
     }
 
     /// Every tier's counters, sorted by tier name.
@@ -278,15 +316,44 @@ impl Health {
 mod tests {
     use super::*;
 
+    /// Feeds `h` one attempt of `tier` that ended with `outcome`.
+    fn feed(h: &Health, tier: &str, outcome: TierOutcome, verdict: AttemptVerdict) {
+        h.record(&attempt(tier, outcome), Some(verdict), None);
+    }
+
+    fn attempt(tier: &str, outcome: TierOutcome) -> TierAttempt {
+        TierAttempt {
+            tier: tier.to_string(),
+            outcome,
+            wall_us: 0,
+            solver: lcl_trace::SolverCost::default(),
+        }
+    }
+
+    fn fail(h: &Health, tier: &str) {
+        feed(h, tier, TierOutcome::Failed, AttemptVerdict::Failure);
+    }
+
+    fn succeed(h: &Health, tier: &str) {
+        feed(h, tier, TierOutcome::Solved, AttemptVerdict::Success);
+    }
+
+    fn trip_and_cool(h: &Health, tier: &str) {
+        for _ in 0..BREAKER_THRESHOLD {
+            fail(h, tier);
+        }
+        std::thread::sleep(BREAKER_BASE_COOLDOWN + Duration::from_millis(20));
+    }
+
     #[test]
     fn breaker_trips_after_threshold_and_recovers() {
         let h = Health::new();
         assert!(h.allow("sat"));
         for _ in 0..BREAKER_THRESHOLD - 1 {
-            h.record_failure("sat");
+            fail(&h, "sat");
             assert!(h.allow("sat"), "below threshold must stay closed");
         }
-        h.record_failure("sat");
+        fail(&h, "sat");
         assert!(!h.allow("sat"), "threshold reached must open");
         assert_eq!(h.open_breakers(), 1);
         assert_eq!(h.breaker_trips(), 1);
@@ -294,7 +361,7 @@ mod tests {
         std::thread::sleep(BREAKER_BASE_COOLDOWN + Duration::from_millis(20));
         assert!(h.allow("sat"), "cooldown elapsed: probe allowed");
         assert!(!h.allow("sat"), "only one probe at a time");
-        h.record_success("sat");
+        succeed(&h, "sat");
         assert!(h.allow("sat"));
         assert_eq!(h.open_breakers(), 0);
     }
@@ -302,12 +369,9 @@ mod tests {
     #[test]
     fn half_open_failure_reopens_with_backoff() {
         let h = Health::new();
-        for _ in 0..BREAKER_THRESHOLD {
-            h.record_failure("synth");
-        }
-        std::thread::sleep(BREAKER_BASE_COOLDOWN + Duration::from_millis(20));
+        trip_and_cool(&h, "synth");
         assert!(h.allow("synth"));
-        h.record_failure("synth");
+        fail(&h, "synth");
         assert!(!h.allow("synth"), "failed probe re-opens");
         assert_eq!(h.breaker_trips(), 2);
         // The cooldown doubled, so the base cooldown no longer suffices.
@@ -319,22 +383,80 @@ mod tests {
     fn domain_success_resets_streak() {
         let h = Health::new();
         for _ in 0..BREAKER_THRESHOLD - 1 {
-            h.record_failure("tier");
+            fail(&h, "tier");
         }
-        h.record_success("tier");
+        // An over-round-budget labelling is a success: the tier works.
+        feed(&h, "tier", TierOutcome::Skipped, AttemptVerdict::Success);
         for _ in 0..BREAKER_THRESHOLD - 1 {
-            h.record_failure("tier");
+            fail(&h, "tier");
         }
         assert!(h.allow("tier"), "streak was reset by the success");
     }
 
     #[test]
+    fn neutral_releases_a_half_open_probe_without_counting() {
+        let h = Health::new();
+        trip_and_cool(&h, "sat");
+        assert!(h.allow("sat"), "probe claimed");
+        feed(&h, "sat", TierOutcome::Cancelled, AttemptVerdict::Neutral);
+        assert_eq!(h.open_breakers(), 0, "a released probe is not wedged");
+        assert_eq!(h.breaker_trips(), 1, "neutral never trips");
+        assert!(h.allow("sat"), "the next dispatch probes again");
+        // A neutral verdict on a closed breaker is a no-op.
+        succeed(&h, "sat");
+        feed(&h, "sat", TierOutcome::Failed, AttemptVerdict::Neutral);
+        assert_eq!(h.breakers()[0].state, BreakerState::Closed);
+    }
+
+    #[test]
+    fn attempt_ends_follow_the_outcome_table() {
+        use AttemptVerdict::{Failure, Neutral, Success};
+        let end = |e: SolveError| attempt_end::<()>(&Err(e));
+        assert_eq!(attempt_end(&Ok(())), (TierOutcome::Solved, Success));
+        let over_budget = SolveError::RoundBudgetExceeded {
+            budget: 1,
+            needed: 2,
+        };
+        assert_eq!(end(over_budget), (TierOutcome::Skipped, Success));
+        let domain = SolveError::SynthesisFailed {
+            problem: "p".to_string(),
+            max_k: 1,
+        };
+        assert_eq!(end(domain), (TierOutcome::Failed, Success));
+        let timeout = SolveError::DeadlineExceeded {
+            tier: "sat".to_string(),
+            elapsed: Duration::ZERO,
+        };
+        assert_eq!(end(timeout), (TierOutcome::Timeout, Failure));
+        let invalid = SolveError::ValidationFailed {
+            solver: "sat".to_string(),
+            violation: "bad".to_string(),
+        };
+        assert_eq!(end(invalid), (TierOutcome::Failed, Failure));
+        assert_eq!(
+            end(SolveError::Cancelled),
+            (TierOutcome::Cancelled, Neutral)
+        );
+        let panicked = SolveError::Panicked {
+            detail: "boom".to_string(),
+        };
+        assert_eq!(end(panicked), (TierOutcome::Failed, Neutral));
+    }
+
+    #[test]
     fn tier_counters_accumulate() {
         let h = Health::new();
-        h.record_timeout("sat-existence");
-        h.record_timeout("sat-existence");
-        h.record_fallback("sat-existence");
-        h.record_breaker_skip("synthesised-tiles");
+        let timeout = attempt("sat-existence", TierOutcome::Timeout);
+        h.record(&timeout, Some(AttemptVerdict::Failure), None);
+        h.record(&timeout, Some(AttemptVerdict::Failure), None);
+        h.record(
+            &attempt("constant", TierOutcome::Solved),
+            Some(AttemptVerdict::Success),
+            Some("sat-existence"),
+        );
+        let skip = attempt("synthesised-tiles", TierOutcome::BreakerSkip);
+        h.record(&skip, None, None);
+        h.record(&skip, None, None);
         let rows = h.tier_counters();
         assert_eq!(rows.len(), 2);
         assert_eq!(
@@ -348,6 +470,6 @@ mod tests {
                 }
             )
         );
-        assert_eq!(rows[1].1.breaker_skips, 1);
+        assert_eq!(rows[1].1.breaker_skips, 2);
     }
 }

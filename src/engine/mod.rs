@@ -12,7 +12,7 @@
 //! corner coordination, the `Θ(n)` SAT existence baseline).
 //!
 //! An [`Engine`] is *problem-agnostic*: one `Send + Sync` service holding
-//! the registry, worker-pool configuration, and the dedup / synthesis /
+//! the registry, worker-thread configuration, and the dedup / synthesis /
 //! plan caches, shared across however many problems a process serves.
 //! [`Engine::prepare`] resolves a problem's solver plan once into an
 //! immutable [`PreparedProblem`] handle with `solve`, `solvable`,
@@ -65,7 +65,6 @@ mod chaos;
 mod error;
 mod health;
 mod instance;
-mod pool;
 mod prepared;
 mod registry;
 mod spec;
@@ -298,7 +297,7 @@ pub(crate) fn budget_error(tier: &str, budget: &Budget, e: lcl_sat::BudgetExceed
 }
 
 /// Builder for [`Engine`]; start from [`Engine::builder`]. The builder
-/// configures the *service* — registry, caches, worker pool, validation
+/// configures the *service* — registry, caches, worker threads, validation
 /// policy — not a problem: problems arrive per call, through
 /// [`Engine::prepare`] and the convenience entry points.
 pub struct EngineBuilder {
@@ -564,7 +563,7 @@ pub struct PrepareStats {
 /// (or per configuration), however many problems it serves.
 ///
 /// An `Engine` owns no problem. It holds the [`Registry`] (and through it
-/// the memoised synthesis cache), the worker-pool and dedup
+/// the memoised synthesis cache), the worker-thread and dedup
 /// configuration, and a memo of [`PreparedProblem`] plans keyed by the
 /// canonical problem cache key. It is `Send + Sync`: wrap it in an `Arc`
 /// and share it across threads; every entry point takes `&self`.
@@ -890,30 +889,6 @@ impl Engine {
         budget: &Budget,
     ) -> Result<GridClass, SolveError> {
         self.prepare(spec)?.classify_with(budget)
-    }
-
-    /// Resolves the configured worker-thread count (`0` = all cores).
-    pub(crate) fn worker_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            t => t,
-        }
-    }
-
-    /// Whether in-batch labelling dedup is enabled.
-    pub(crate) fn dedup_enabled(&self) -> bool {
-        self.dedup
-    }
-
-    /// The configured stream dedup window size (0 = off).
-    pub(crate) fn stream_dedup_window(&self) -> usize {
-        self.stream_dedup_window
-    }
-
-    /// The engine-cumulative stream dedup-hit counter, shared with the
-    /// detached stream workers.
-    pub(crate) fn stream_dedup_hits_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.stream_dedup_hits)
     }
 }
 

@@ -12,7 +12,7 @@
 //! registry's synthesis cache with the solve path.
 
 use super::chaos::ChaosState;
-use super::health::Health;
+use super::health::{attempt_end, AttemptVerdict, Health};
 use super::registry::{self, PlanOptions, Registry};
 use super::spec::{self, ProblemSpec, Topology};
 use super::{
@@ -25,39 +25,59 @@ use lcl_grid::CycleGraph;
 use lcl_local::Simulator;
 use lcl_sat::Budget;
 use lcl_symmetry::protocol_validation::CvProtocol;
+use lcl_trace::TierOutcome;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Appends a zero-cost skip entry (capability/shape mismatch or an open
-/// breaker) to a solve's cost ledger.
-fn push_skip(cost: &mut lcl_trace::Cost, tier: &str, outcome: lcl_trace::TierOutcome) {
-    cost.tiers.push(lcl_trace::TierAttempt {
-        tier: tier.to_string(),
-        outcome,
-        wall_us: 0,
-        solver: lcl_trace::SolverCost::default(),
-    });
+/// One tier attempt of the walk, and the walk's only recorder: when
+/// dropped it sends one [`lcl_trace::TierAttempt`] to the cost ledger,
+/// the tier span, and [`Health::record`]. The walk sets `outcome` (and,
+/// for a dispatch, `verdict`) first; an attempt dropped without an
+/// outcome — a panic unwinding out of the solver — records as failed and
+/// neutral, releasing any half-open probe it held.
+struct Attempt<'a> {
+    ledger: &'a mut Vec<lcl_trace::TierAttempt>,
+    health: &'a Health,
+    tier: &'a str,
+    /// The tier span and the attempt's start, once dispatched. Only a
+    /// dispatched attempt's verdict reaches the tier's breaker.
+    dispatched: Option<(lcl_trace::SpanGuard, Instant)>,
+    outcome: Option<TierOutcome>,
+    verdict: AttemptVerdict,
+    /// The walk's first timed-out tier, when this attempt answered after it.
+    fallback_from: Option<String>,
 }
 
-/// Appends a dispatched tier attempt to a solve's cost ledger, draining
-/// the thread's pending solver work so SAT effort is billed to the tier
-/// that caused it, and stamping the tier span's outcome counter.
-fn push_attempt(
-    cost: &mut lcl_trace::Cost,
-    span: &mut lcl_trace::SpanGuard,
-    tier: &str,
-    outcome: lcl_trace::TierOutcome,
-    started: Instant,
-) {
-    let solver = lcl_trace::take_solver_cost();
-    span.count(0, outcome.code());
-    cost.tiers.push(lcl_trace::TierAttempt {
-        tier: tier.to_string(),
-        outcome,
-        wall_us: started.elapsed().as_micros() as u64,
-        solver,
-    });
+impl Drop for Attempt<'_> {
+    fn drop(&mut self) {
+        let outcome = self.outcome.unwrap_or(TierOutcome::Failed);
+        // Skips cost nothing; a dispatch drains the thread's pending
+        // solver work so SAT effort is billed to the tier that caused it.
+        let (wall_us, solver) = match &mut self.dispatched {
+            Some((span, started)) => {
+                span.count(0, outcome.code());
+                (
+                    started.elapsed().as_micros() as u64,
+                    lcl_trace::take_solver_cost(),
+                )
+            }
+            None => (0, lcl_trace::SolverCost::default()),
+        };
+        let attempt = lcl_trace::TierAttempt {
+            tier: self.tier.to_string(),
+            outcome,
+            wall_us,
+            solver,
+        };
+        let verdict = self.dispatched.is_some().then_some(self.verdict);
+        self.health
+            .record(&attempt, verdict, self.fallback_from.as_deref());
+        self.ledger.push(attempt);
+    }
 }
+
+/// The solver name on the opt-in round-ledger cross-check's errors.
+const CROSS_CHECK: &str = "cv-protocol-cross-check";
 
 /// A problem whose solver plan has been resolved by
 /// [`Engine::prepare`](crate::engine::Engine::prepare): the immutable,
@@ -298,94 +318,61 @@ impl PreparedProblem {
             }
             topology_covered = true;
             let name = solver.name();
-            if caps.square_only && !inst.is_square() {
-                push_skip(cost, name, lcl_trace::TierOutcome::Skipped);
-                continue;
-            }
-            if side < caps.min_side {
+            let mut attempt = Attempt {
+                ledger: &mut cost.tiers,
+                health: &self.health,
+                tier: name,
+                dispatched: None,
+                outcome: None,
+                verdict: AttemptVerdict::Neutral,
+                fallback_from: None,
+            };
+            let skip = if caps.square_only && !inst.is_square() {
+                Some(TierOutcome::Skipped)
+            } else if side < caps.min_side {
                 smallest_supported =
                     Some(smallest_supported.map_or(caps.min_side, |m: usize| m.min(caps.min_side)));
-                push_skip(cost, name, lcl_trace::TierOutcome::Skipped);
-                continue;
-            }
-            if !self.health.allow(name) {
-                self.health.record_breaker_skip(name);
-                push_skip(cost, name, lcl_trace::TierOutcome::BreakerSkip);
+                Some(TierOutcome::Skipped)
+            } else if !self.health.allow(name) {
                 fallthrough.get_or_insert(SolveError::SolverFailed {
                     solver: name.to_string(),
                     detail: "circuit breaker open: tier is cooling down after repeated failures"
                         .to_string(),
                 });
+                Some(TierOutcome::BreakerSkip)
+            } else {
+                None
+            };
+            if skip.is_some() {
+                attempt.outcome = skip;
                 continue;
             }
-            let attempt_started = Instant::now();
-            let mut tier_span = lcl_trace::span(lcl_trace::SpanKind::Tier, name);
-            if let Some(chaos) = &self.chaos {
-                if let Some(delay) = chaos.latency() {
-                    std::thread::sleep(delay);
-                }
-                // May panic (deterministically): the batch, stream, and
-                // serve paths contain it via catch_unwind, which is the
-                // point.
-                chaos.maybe_panic(name);
-            }
-            match solver.solve_budgeted(inst, budget) {
+            attempt.dispatched = Some((
+                lcl_trace::span(lcl_trace::SpanKind::Tier, name),
+                Instant::now(),
+            ));
+            let result = self.run_tier(solver.as_ref(), inst, budget);
+            let (outcome, verdict) = attempt_end(&result);
+            attempt.outcome = Some(outcome);
+            attempt.verdict = verdict;
+            match result {
                 Ok(mut labelling) => {
-                    if self.validate {
-                        let valid = {
-                            let _vspan =
-                                lcl_trace::span(lcl_trace::SpanKind::Validation, "validate");
-                            self.spec.check_instance(inst, &labelling.labels)
-                        };
-                        if let Err(violation) = valid {
-                            self.health.record_failure(name);
-                            push_attempt(
-                                cost,
-                                &mut tier_span,
-                                name,
-                                lcl_trace::TierOutcome::Failed,
-                                attempt_started,
-                            );
-                            fallthrough.get_or_insert(SolveError::ValidationFailed {
-                                solver: name.to_string(),
-                                violation,
-                            });
-                            continue;
-                        }
-                        labelling.report.validated = true;
-                    }
+                    // A drifted round ledger indicts the engine's
+                    // accounting, not this tier: the attempt is recorded
+                    // failed but neutral, and no later tier can fix it.
                     if self.debug_validation {
-                        self.cross_validate_rounds(inst, &mut labelling.report)?;
-                    }
-                    let needed = labelling.report.rounds.total();
-                    if let Some(budget) = self.rounds_budget {
-                        if needed > budget {
-                            cheapest_over_budget =
-                                Some(cheapest_over_budget.map_or(needed, |c: u64| c.min(needed)));
-                            push_attempt(
-                                cost,
-                                &mut tier_span,
-                                name,
-                                lcl_trace::TierOutcome::Skipped,
-                                attempt_started,
-                            );
-                            continue;
+                        if let Err(e) = self.cross_validate_rounds(inst, &mut labelling.report) {
+                            attempt.outcome = Some(TierOutcome::Failed);
+                            attempt.verdict = AttemptVerdict::Neutral;
+                            return Err(e);
                         }
                     }
-                    self.health.record_success(name);
-                    push_attempt(
-                        cost,
-                        &mut tier_span,
-                        name,
-                        lcl_trace::TierOutcome::Solved,
-                        attempt_started,
-                    );
                     if let Some((tier, elapsed)) = timed_out {
-                        self.health.record_fallback(&tier);
                         labelling.report = labelling
                             .report
-                            .with_detail("fallback_from", tier)
+                            .with_detail("fallback_from", &tier)
                             .with_detail("fallback_elapsed_ms", elapsed.as_millis());
+                        attempt.fallback_from = Some(tier);
                     }
                     // L003: record that the O(1) tier was predicted by
                     // the static analysis, not discovered by the walk.
@@ -405,73 +392,22 @@ impl PreparedProblem {
                     return Ok(labelling);
                 }
                 // Unsatisfiability is exact: no other solver can succeed.
-                Err(e @ SolveError::Unsolvable { .. }) => {
-                    self.health.record_success(name);
-                    push_attempt(
-                        cost,
-                        &mut tier_span,
-                        name,
-                        lcl_trace::TierOutcome::Unsolvable,
-                        attempt_started,
-                    );
-                    return Err(e);
-                }
                 // Cancellation aborts: the caller hung up.
-                Err(SolveError::Cancelled) => {
-                    push_attempt(
-                        cost,
-                        &mut tier_span,
-                        name,
-                        lcl_trace::TierOutcome::Cancelled,
-                        attempt_started,
-                    );
-                    return Err(SolveError::Cancelled);
-                }
+                Err(e @ (SolveError::Unsolvable { .. } | SolveError::Cancelled)) => return Err(e),
                 // A tripped budget degrades: later (cheaper) tiers still
                 // get their chance; the first trip owns the attribution.
                 Err(SolveError::DeadlineExceeded { tier, elapsed }) => {
-                    self.health.record_timeout(name);
-                    self.health.record_failure(name);
-                    push_attempt(
-                        cost,
-                        &mut tier_span,
-                        name,
-                        lcl_trace::TierOutcome::Timeout,
-                        attempt_started,
-                    );
                     timed_out.get_or_insert((tier, elapsed));
                 }
                 Err(SolveError::TorusTooSmall { min_side, .. }) => {
-                    self.health.record_success(name);
-                    push_attempt(
-                        cost,
-                        &mut tier_span,
-                        name,
-                        lcl_trace::TierOutcome::Skipped,
-                        attempt_started,
-                    );
                     smallest_supported =
                         Some(smallest_supported.map_or(min_side, |m: usize| m.min(min_side)));
                 }
+                Err(SolveError::RoundBudgetExceeded { needed, .. }) => {
+                    cheapest_over_budget =
+                        Some(cheapest_over_budget.map_or(needed, |c: u64| c.min(needed)));
+                }
                 Err(e) => {
-                    if matches!(
-                        e,
-                        SolveError::SolverFailed { .. } | SolveError::Panicked { .. }
-                    ) {
-                        self.health.record_failure(name);
-                    } else {
-                        // Domain verdicts (e.g. SynthesisFailed) prove the
-                        // tier's machinery works; crucially they also close
-                        // a half-open probe instead of wedging it.
-                        self.health.record_success(name);
-                    }
-                    push_attempt(
-                        cost,
-                        &mut tier_span,
-                        name,
-                        lcl_trace::TierOutcome::Failed,
-                        attempt_started,
-                    );
                     fallthrough.get_or_insert(e);
                 }
             }
@@ -504,6 +440,43 @@ impl PreparedProblem {
         Err(SolveError::NoSolver {
             problem: self.spec.name().to_string(),
         })
+    }
+
+    /// Dispatches one tier: the chaos hooks, the budgeted solve,
+    /// validation, and the round budget. The walk runs the opt-in
+    /// round-ledger cross-check on the labelling it is about to return.
+    fn run_tier(
+        &self,
+        solver: &dyn Solve,
+        inst: &Instance,
+        budget: &Budget,
+    ) -> Result<Labelling, SolveError> {
+        if let Some(chaos) = &self.chaos {
+            if let Some(delay) = chaos.latency() {
+                std::thread::sleep(delay);
+            }
+            // May panic (deterministically): the batch, stream, and serve
+            // paths contain it via catch_unwind, which is the point.
+            chaos.maybe_panic(solver.name());
+        }
+        let mut labelling = solver.solve_budgeted(inst, budget)?;
+        if self.validate {
+            let _vspan = lcl_trace::span(lcl_trace::SpanKind::Validation, "validate");
+            self.spec
+                .check_instance(inst, &labelling.labels)
+                .map_err(|violation| SolveError::ValidationFailed {
+                    solver: solver.name().to_string(),
+                    violation,
+                })?;
+            labelling.report.validated = true;
+        }
+        let needed = labelling.report.rounds.total();
+        match self.rounds_budget {
+            Some(budget) if needed > budget => {
+                Err(SolveError::RoundBudgetExceeded { budget, needed })
+            }
+            _ => Ok(labelling),
+        }
     }
 
     /// Decides whether the problem has *any* valid labelling on the
@@ -687,13 +660,13 @@ impl PreparedProblem {
         let run = Simulator::new(64)
             .run(&cycle, ids, &CvProtocol)
             .map_err(|e| SolveError::ValidationFailed {
-                solver: "cv-protocol-cross-check".to_string(),
+                solver: CROSS_CHECK.to_string(),
                 violation: format!("protocol did not halt: {e}"),
             })?;
         for v in 0..side {
             if run.outputs[v] >= 3 || run.outputs[v] == run.outputs[cycle.succ(v)] {
                 return Err(SolveError::ValidationFailed {
-                    solver: "cv-protocol-cross-check".to_string(),
+                    solver: CROSS_CHECK.to_string(),
                     violation: format!("protocol output is not a proper 3-colouring at node {v}"),
                 });
             }
@@ -704,7 +677,7 @@ impl PreparedProblem {
         // schedule adds at most the identifier exchange + halting rounds.
         if batched > run.rounds || run.rounds > batched + 5 {
             return Err(SolveError::ValidationFailed {
-                solver: "cv-protocol-cross-check".to_string(),
+                solver: CROSS_CHECK.to_string(),
                 violation: format!(
                     "round ledger drifted from the synchronous protocol: \
                      ledger {batched}, protocol {}",

@@ -1,5 +1,5 @@
-//! The streaming solve path: million-job workloads in `O(threads)`
-//! memory.
+//! The streaming solve path — the engine's one execution path:
+//! million-job workloads in `O(threads)` memory.
 //!
 //! [`Engine::solve_stream`] takes an *iterator* of mixed-problem
 //! [`Job`]s and returns a [`SolveStream`] — itself an iterator of
@@ -11,7 +11,10 @@
 //! [`SolveStream::buffer_bound`] jobs (`2 × threads`: one in flight per
 //! worker, one finished result buffered per worker) have been pulled but
 //! not yet yielded. `tests/prepare.rs` pins the bound with a counting
-//! iterator over 10 000 jobs.
+//! iterator over 10 000 jobs. The workers here are the only threads the
+//! engine spawns: the slice entry points ([`Engine::solve_batch`],
+//! [`Engine::solve_jobs`]) send their deduped jobs through this path and
+//! reorder the outcomes by index.
 //!
 //! Streaming trades the batch path's *unbounded* in-batch dedup for the
 //! memory bound — remembering every previously seen job is exactly what
@@ -28,9 +31,9 @@
 //! synthesis tables and prepared plans are resolved once per problem, not
 //! per job. Results arrive in *completion* order, tagged with the job's
 //! input index; a consumer that needs input order should use the slice
-//! entry points, which preserve it for free.
+//! entry points, which reorder by that index.
 
-use super::batch::{self, panic_detail, Job};
+use super::batch::{self, Job};
 use super::chaos::{ChaosState, FaultPoint};
 use super::health::Health;
 use super::registry::fnv1a64;
@@ -106,14 +109,6 @@ struct DedupWindow {
 }
 
 impl DedupWindow {
-    fn new(cap: usize) -> DedupWindow {
-        DedupWindow {
-            cap,
-            clock: 0,
-            entries: Vec::with_capacity(cap.min(1024)),
-        }
-    }
-
     /// The window answer for a job, bumping its LRU stamp on a hit.
     /// Matching follows the batch dedup identity exactly: same prepared
     /// *handle* (pointer identity — differently-configured engines'
@@ -127,16 +122,15 @@ impl DedupWindow {
     fn lookup(
         &mut self,
         fingerprint: u64,
-        prepared: &Arc<PreparedProblem>,
-        inst: &Instance,
+        job: &Job,
         health: &Health,
     ) -> Option<Result<Labelling, SolveError>> {
         self.clock += 1;
         let clock = self.clock;
         let pos = self.entries.iter().position(|e| {
             e.fingerprint == fingerprint
-                && Arc::ptr_eq(&e.prepared, prepared)
-                && e.instance.same_input(inst)
+                && Arc::ptr_eq(&e.prepared, &job.prepared)
+                && e.instance.same_input(&job.instance)
         })?;
         if labels_checksum(&self.entries[pos].result) != self.entries[pos].checksum {
             self.entries.swap_remove(pos);
@@ -156,36 +150,34 @@ impl DedupWindow {
     /// With chaos armed, [`FaultPoint::DedupPoison`] may corrupt the
     /// entry *after* its checksum is taken — the injected fault the
     /// lookup-time integrity check must catch.
-    fn insert(&mut self, mut entry: WindowEntry, chaos: Option<&ChaosState>) {
-        if self.cap == 0 {
-            return;
-        }
-        entry.checksum = labels_checksum(&entry.result);
-        if let Some(chaos) = chaos {
-            if chaos.should(FaultPoint::DedupPoison) {
-                if let Ok(labelling) = &mut entry.result {
-                    if let Some(first) = labelling.labels.first_mut() {
-                        *first ^= 1;
-                    }
-                }
+    fn insert(
+        &mut self,
+        fingerprint: u64,
+        job: &Job,
+        result: &Result<Labelling, SolveError>,
+        chaos: Option<&ChaosState>,
+    ) {
+        let mut result = result.clone();
+        let checksum = labels_checksum(&result);
+        if chaos.is_some_and(|chaos| chaos.should(FaultPoint::DedupPoison)) {
+            if let Some(first) = result.as_mut().ok().and_then(|l| l.labels.first_mut()) {
+                *first ^= 1;
             }
         }
         if self.entries.len() >= self.cap {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-            {
+            let entries = &self.entries;
+            if let Some(oldest) = (0..entries.len()).min_by_key(|&i| entries[i].last_used) {
                 self.entries.swap_remove(oldest);
             }
         }
         self.clock += 1;
-        let clock = self.clock;
         self.entries.push(WindowEntry {
-            last_used: clock,
-            ..entry
+            fingerprint,
+            prepared: Arc::clone(&job.prepared),
+            instance: job.instance.clone(),
+            result,
+            checksum,
+            last_used: self.clock,
         });
     }
 }
@@ -250,12 +242,17 @@ impl Drop for SolveStream {
 
 impl Engine {
     /// Streams a (possibly unbounded, possibly mixed-problem) sequence of
-    /// [`Job`]s through the worker pool, yielding [`JobOutcome`]s in
-    /// completion order through a bounded channel with backpressure.
+    /// [`Job`]s through the configured worker threads, yielding
+    /// [`JobOutcome`]s in completion order through a bounded channel with
+    /// backpressure.
     ///
     /// The input iterator is pulled lazily from the worker threads — one
     /// job per idle worker — so the jobs are never collected; see
-    /// [`SolveStream::buffer_bound`] for the exact in-flight bound. A
+    /// [`SolveStream::buffer_bound`] for the exact in-flight bound. The
+    /// worker count is capped at the input's `size_hint` upper bound, so
+    /// a short finite input never spawns idle workers. Workers adopt the
+    /// calling thread's trace id ([`lcl_trace::current_trace`]), so their
+    /// solve and tier spans land in the caller's trace. A
     /// panicking solver terminates only the affected job (typed as
     /// [`SolveError::Panicked`]); a panicking jobs *iterator* ends the
     /// stream for every worker and is reported — never swallowed — as a
@@ -303,88 +300,41 @@ impl Engine {
         I: IntoIterator<Item = Job>,
         I::IntoIter: Send + 'static,
     {
-        let budget = budget.clone();
-        let health = Arc::clone(&self.health);
-        let chaos = self.chaos.clone();
-        let threads = self.worker_threads();
-        let source = Arc::new(Mutex::new(JobSource {
-            jobs: Some(jobs.into_iter()),
-            next_index: 0u64,
-        }));
-        let window = match self.stream_dedup_window() {
-            0 => None,
-            cap => Some(Arc::new(Mutex::new(DedupWindow::new(cap)))),
-        };
-        let stream_hits = Arc::new(AtomicU64::new(0));
-        let engine_hits = self.stream_dedup_hits_counter();
+        let jobs = jobs.into_iter();
+        // `threads(0)` means every core; never more workers than jobs.
+        let threads = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            t => t,
+        }
+        .min(jobs.size_hint().1.unwrap_or(usize::MAX).max(1));
         // Capacity `threads`: with one in-flight job per worker this caps
         // pulled-but-unyielded jobs at 2 × threads, the documented bound.
         let (tx, rx) = mpsc::sync_channel::<JobOutcome>(threads);
+        let stream_hits = Arc::new(AtomicU64::new(0));
+        let shared = Arc::new(Workers {
+            source: Mutex::new(JobSource {
+                jobs: Some(jobs),
+                next_index: 0,
+            }),
+            window: (self.stream_dedup_window > 0).then(|| {
+                Mutex::new(DedupWindow {
+                    cap: self.stream_dedup_window,
+                    clock: 0,
+                    entries: Vec::new(),
+                })
+            }),
+            stream_hits: Arc::clone(&stream_hits),
+            engine_hits: Arc::clone(&self.stream_dedup_hits),
+            budget: budget.clone(),
+            health: Arc::clone(&self.health),
+            chaos: self.chaos.clone(),
+            tx,
+            trace_id: lcl_trace::current_trace(),
+        });
         let workers = (0..threads)
             .map(|_| {
-                let source = Arc::clone(&source);
-                let window = window.clone();
-                let stream_hits = Arc::clone(&stream_hits);
-                let engine_hits = Arc::clone(&engine_hits);
-                let budget = budget.clone();
-                let health = Arc::clone(&health);
-                let chaos = chaos.clone();
-                let tx = tx.clone();
-                std::thread::spawn(move || loop {
-                    let (index, job) = {
-                        let mut source = source.lock().unwrap_or_else(PoisonError::into_inner);
-                        let Some(jobs) = source.jobs.as_mut() else {
-                            break; // exhausted — or ended by a panic below
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| jobs.next())) {
-                            Ok(Some(job)) => {
-                                let index = source.next_index;
-                                source.next_index += 1;
-                                (index, job)
-                            }
-                            Ok(None) => {
-                                source.jobs = None;
-                                break;
-                            }
-                            // A panicking jobs iterator ends the stream
-                            // for every worker (its state is unusable)
-                            // and is reported as a typed outcome so the
-                            // consumer can tell truncation from
-                            // completion.
-                            Err(payload) => {
-                                source.jobs = None;
-                                let index = source.next_index;
-                                drop(source);
-                                let _ = tx.send(JobOutcome {
-                                    index,
-                                    problem: JOBS_ITERATOR_PANICKED.to_string(),
-                                    result: Err(SolveError::Panicked {
-                                        detail: panic_detail(payload),
-                                    }),
-                                    deduped: false,
-                                });
-                                break;
-                            }
-                        }
-                    };
-                    let (result, deduped) =
-                        solve_windowed(&job, window.as_deref(), &health, chaos.as_deref(), &budget);
-                    if deduped {
-                        stream_hits.fetch_add(1, Ordering::Relaxed);
-                        engine_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let outcome = JobOutcome {
-                        index,
-                        problem: job.prepared.spec().name().to_string(),
-                        result,
-                        deduped,
-                    };
-                    // A dropped consumer disconnects the channel: stop
-                    // pulling and wind down.
-                    if tx.send(outcome).is_err() {
-                        break;
-                    }
-                })
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || shared.run())
             })
             .collect();
         SolveStream {
@@ -396,58 +346,128 @@ impl Engine {
     }
 }
 
-/// Solves one stream job through the dedup window (when one is
-/// configured): window hit → shared result, miss (including a poisoned
-/// entry recovered by the checksum) → fresh solve that is then
-/// remembered. Returns the result and whether it was a window hit.
-fn solve_windowed(
-    job: &Job,
-    window: Option<&Mutex<DedupWindow>>,
-    health: &Health,
-    chaos: Option<&ChaosState>,
-    budget: &Budget,
-) -> (Result<Labelling, SolveError>, bool) {
-    // A per-job budget replaces the stream budget for this job and opts
-    // it out of the dedup window in both directions (no lookup, no
-    // insert): budgets are consumable state, so budgeted jobs are never
-    // interchangeable — see `Job::with_budget`.
-    let budget = job.budget().unwrap_or(budget);
-    let window = match window {
-        Some(window) if job.budget().is_none() => window,
-        _ => {
-            return (
-                batch::solve_caught(&job.prepared, &job.instance, budget),
-                false,
-            );
+/// What a stream's workers share: the job source, the dedup window, the
+/// hit counters, the joint budget, and the sending end of the outcome
+/// channel (which disconnects once the last worker exits).
+struct Workers<I> {
+    source: Mutex<JobSource<I>>,
+    window: Option<Mutex<DedupWindow>>,
+    stream_hits: Arc<AtomicU64>,
+    engine_hits: Arc<AtomicU64>,
+    budget: Budget,
+    health: Arc<Health>,
+    chaos: Option<Arc<ChaosState>>,
+    tx: mpsc::SyncSender<JobOutcome>,
+    /// The submitting thread's trace id, adopted by every worker.
+    trace_id: u64,
+}
+
+impl<I: Iterator<Item = Job>> Workers<I> {
+    /// One worker: pull a job, solve it, send the outcome — until the
+    /// input ends or the consumer hangs up.
+    fn run(&self) {
+        lcl_trace::set_current_trace(self.trace_id);
+        while let Some((index, job)) = self.pull() {
+            let (result, deduped) = self.solve(&job);
+            if deduped {
+                self.stream_hits.fetch_add(1, Ordering::Relaxed);
+                self.engine_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            let outcome = JobOutcome {
+                index,
+                problem: job.prepared.spec().name().to_string(),
+                result,
+                deduped,
+            };
+            // A dropped consumer disconnects the channel: stop pulling
+            // and wind down.
+            if self.tx.send(outcome).is_err() {
+                break;
+            }
         }
-    };
-    let fingerprint = batch::job_fingerprint(&job.prepared, &job.instance);
-    let hit = {
-        let mut span = lcl_trace::span(lcl_trace::SpanKind::Dedup, "dedup-lookup");
-        let hit = window
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .lookup(fingerprint, &job.prepared, &job.instance, health);
-        span.count(0, u64::from(hit.is_some()));
-        hit
-    };
-    if let Some(hit) = hit {
-        return (hit, true);
     }
-    let result = batch::solve_caught(&job.prepared, &job.instance, budget);
-    window
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(
-            WindowEntry {
-                fingerprint,
-                prepared: Arc::clone(&job.prepared),
-                instance: job.instance.clone(),
-                result: result.clone(),
-                checksum: 0,  // stamped by insert
-                last_used: 0, // stamped by insert
-            },
-            chaos,
-        );
-    (result, false)
+
+    /// The next job and its input index, or `None` once the input is
+    /// exhausted. A panicking jobs iterator ends the stream for every
+    /// worker (its state is unusable) and is reported as a final typed
+    /// outcome, so the consumer can tell truncation from completion.
+    fn pull(&self) -> Option<(u64, Job)> {
+        let mut source = self.source.lock().unwrap_or_else(PoisonError::into_inner);
+        let jobs = source.jobs.as_mut()?;
+        match catch_unwind(AssertUnwindSafe(|| jobs.next())) {
+            Ok(Some(job)) => {
+                let index = source.next_index;
+                source.next_index += 1;
+                Some((index, job))
+            }
+            Ok(None) => {
+                source.jobs = None;
+                None
+            }
+            Err(payload) => {
+                source.jobs = None;
+                let index = source.next_index;
+                drop(source);
+                let _ = self.tx.send(JobOutcome {
+                    index,
+                    problem: JOBS_ITERATOR_PANICKED.to_string(),
+                    result: Err(panicked(payload)),
+                    deduped: false,
+                });
+                None
+            }
+        }
+    }
+
+    /// Solves one job through the dedup window (when one is configured):
+    /// a hit shares the remembered result; a miss — including a poisoned
+    /// entry the checksum caught — solves fresh, mapping a panicking
+    /// solver to a typed error, and is remembered. Returns the result and
+    /// whether it was a window hit.
+    fn solve(&self, job: &Job) -> (Result<Labelling, SolveError>, bool) {
+        // A per-job budget replaces the stream budget for this job and
+        // opts it out of the dedup window in both directions (no lookup,
+        // no insert): budgets are consumable state, so budgeted jobs are
+        // never interchangeable — see `Job::with_budget`.
+        let window = self
+            .window
+            .as_ref()
+            .filter(|_| job.budget().is_none())
+            .map(|window| (window, batch::job_fingerprint(&job.prepared, &job.instance)));
+        if let Some((window, fingerprint)) = window {
+            let mut span = lcl_trace::span(lcl_trace::SpanKind::Dedup, "dedup-lookup");
+            let hit = window
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .lookup(fingerprint, job, &self.health);
+            span.count(0, u64::from(hit.is_some()));
+            if let Some(hit) = hit {
+                return (hit, true);
+            }
+        }
+        let budget = job.budget().unwrap_or(&self.budget);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            job.prepared.solve_with(&job.instance, budget)
+        }))
+        .unwrap_or_else(|payload| Err(panicked(payload)));
+        if let Some((window, fingerprint)) = window {
+            window
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(fingerprint, job, &result, self.chaos.as_deref());
+        }
+        (result, false)
+    }
+}
+
+/// The typed error for a caught panic, carrying its message.
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> SolveError {
+    let detail = match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |s| *s)
+            .to_string(),
+    };
+    SolveError::Panicked { detail }
 }

@@ -11,7 +11,7 @@
 //! complexity landscape (`O(1)`, `Θ(log* n)`, `Θ(n)`) — in every
 //! dimension; the [`engine`] module gives this repository the matching
 //! API. One problem-agnostic [`engine::Engine`] — `Send + Sync`, holding
-//! the [`engine::Registry`], worker pool, and dedup/synthesis/plan
+//! the [`engine::Registry`], worker threads, and dedup/synthesis/plan
 //! caches — serves every problem a process handles.
 //! [`engine::Engine::prepare`] resolves a [`engine::ProblemSpec`]'s
 //! solver plan once (hand-built §8/§10 constructions, §7 normal-form

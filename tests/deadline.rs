@@ -3,7 +3,10 @@
 //! tripped plan, engine, and worker pool must behave exactly as if the
 //! trip never happened.
 
-use lcl_grids::engine::{Budget, CancelToken, Engine, Instance, ProblemSpec, SolveError};
+use lcl_grids::engine::{
+    Budget, CancelToken, Engine, Instance, ProblemSpec, SolveError, BREAKER_BASE_COOLDOWN,
+    BREAKER_THRESHOLD,
+};
 use lcl_grids::local::IdAssignment;
 use std::time::{Duration, Instant};
 
@@ -137,4 +140,69 @@ fn batch_budget_is_joint_and_reports_typed_rows() {
         .solve_batch_with(&prepared, &[inst], &Budget::unlimited())
         .results()[0]
         .is_ok());
+}
+
+/// A half-open probe whose labelling exceeds the round budget must settle
+/// its breaker: the tier worked, so the probe counts as a success. Left
+/// unrecorded, the breaker stays half-open forever — `/healthz` stays
+/// degraded and every later solve skips the tier.
+#[test]
+fn over_round_budget_probe_closes_its_breaker() {
+    let engine = Engine::builder()
+        .threads(1)
+        .max_synthesis_k(1)
+        .rounds_budget(1)
+        .build();
+    let prepared = engine.prepare(&sat_heavy_spec()).expect("prepare");
+    let inst = Instance::square(12, &IdAssignment::Shuffled { seed: 5 });
+    for _ in 0..BREAKER_THRESHOLD {
+        let err = prepared
+            .solve_with(&inst, &Budget::steps(1))
+            .expect_err("one step cannot finish a SAT solve");
+        assert!(
+            matches!(err, SolveError::DeadlineExceeded { .. }),
+            "{err:?}"
+        );
+    }
+    assert!(
+        engine.health().open_breakers() > 0,
+        "the step-starved SAT tiers trip their breakers"
+    );
+    std::thread::sleep(BREAKER_BASE_COOLDOWN + Duration::from_millis(50));
+
+    // The probe: unbudgeted, the SAT tiers label the torus, but no
+    // labelling fits in one round.
+    let err = prepared.solve(&inst).expect_err("over the round budget");
+    assert!(
+        matches!(err, SolveError::RoundBudgetExceeded { .. }),
+        "{err:?}"
+    );
+    assert_eq!(
+        engine.health().open_breakers(),
+        0,
+        "{:?}",
+        engine.health().breakers()
+    );
+
+    // A later solve dispatches to sat-existence again instead of
+    // breaker-skipping it: failed solves carry no cost ledger, so the
+    // trace's tier spans witness the dispatch.
+    lcl_trace::enable(4096);
+    let trace_id = 0x3ed9e;
+    lcl_trace::set_current_trace(trace_id);
+    let err = prepared.solve(&inst).expect_err("over the round budget");
+    lcl_trace::set_current_trace(0);
+    assert!(
+        matches!(err, SolveError::RoundBudgetExceeded { .. }),
+        "{err:?}"
+    );
+    let trace = lcl_trace::snapshot_for(trace_id);
+    assert!(
+        trace
+            .events
+            .iter()
+            .any(|e| e.kind == lcl_trace::SpanKind::Tier && e.name == "sat-existence"),
+        "sat-existence was not dispatched: {:?}",
+        engine.health().tier_counters()
+    );
 }
