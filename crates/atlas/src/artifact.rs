@@ -314,10 +314,12 @@ impl Atlas {
         header: Header,
         records: impl IntoIterator<Item = Record>,
     ) -> Result<Atlas, AtlasError> {
+        let records = records.into_iter();
+        let (len, _) = records.size_hint();
         let mut atlas = Atlas {
             header,
-            records: Vec::new(),
-            index: HashMap::new(),
+            records: Vec::with_capacity(len),
+            index: HashMap::with_capacity(len),
         };
         for record in records {
             atlas.insert(record).map_err(AtlasError::Invariant)?;

@@ -193,7 +193,10 @@ pub fn run_census(
     let mut fresh = 0u64;
     let progress_every = options.progress_every;
     let fresh_total = total - resumed_count.min(total);
-    let records = run_jobs(engine, jobs, options, &mut agg, |record| {
+    let expected = options
+        .max_records
+        .map_or(fresh_total, |n| n.min(fresh_total));
+    let records = run_jobs(engine, jobs, expected, options, &mut agg, |record| {
         if let Some(out) = journal.as_mut() {
             writeln!(out, "{}", record.to_line())?;
             out.flush()?;
@@ -223,7 +226,7 @@ pub fn run_census(
 
     // The engine-level dedup audit: canonical problems must map to
     // pairwise distinct content-addressed plan keys.
-    let mut plan_keys = HashSet::new();
+    let mut plan_keys = HashSet::with_capacity(atlas.len());
     for record in atlas.records() {
         if !plan_keys.insert(record.plan_key.as_str()) {
             return Err(AtlasError::Invariant(format!(
@@ -255,10 +258,13 @@ struct RunAgg {
 
 /// Streams `jobs` through the engine, building one record per job.
 /// `on_record` sees every record as soon as it is finished (journal
-/// append, progress) before it is collected.
+/// append, progress) before it is collected. `expected` presizes the
+/// record buffer: grown by doubling, it would fragment the heap pass
+/// after pass in a long-lived process.
 fn run_jobs(
     engine: &Arc<Engine>,
     jobs: impl Iterator<Item = SpecJob> + Send + 'static,
+    expected: u64,
     options: &CensusOptions,
     agg: &mut RunAgg,
     mut on_record: impl FnMut(&Record) -> Result<(), AtlasError>,
@@ -304,7 +310,7 @@ fn run_jobs(
         })
     };
 
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(expected as usize);
     for outcome in engine.solve_stream(source) {
         let index = outcome.index;
         let pending_job = lock(&pending).remove(&index).ok_or_else(|| {
@@ -353,6 +359,7 @@ pub fn classify_specs(
     run_jobs(
         engine,
         jobs.collect::<Vec<_>>().into_iter(),
+        0,
         options,
         &mut agg,
         |_| Ok(()),

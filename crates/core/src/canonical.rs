@@ -39,6 +39,7 @@
 
 use crate::lcl::{Block, BlockLcl, Label};
 use crate::synthesis::persist::fnv1a64;
+use std::sync::OnceLock;
 
 /// Largest alphabet the canonicaliser supports: `3⁴ = 81` block indices
 /// fit a `u128` bitmask, `4⁴ = 256` would not. Problems with more than
@@ -296,8 +297,16 @@ pub fn canonical_form(lcl: &BlockLcl) -> Option<BlockLcl> {
         let moved: Block = block.map(|l| renumber[usize::from(l)]);
         bits |= 1 << block_index(alphabet, moved);
     }
-    let group = SymmetryGroup::new(alphabet);
+    let group = shared_group(alphabet);
     Some(lcl_from_bits(alphabet, group.canonical_bits(bits)))
+}
+
+/// The [`SymmetryGroup`] of `alphabet`, built once per process: census
+/// enumeration canonicalises one table per emitted problem.
+fn shared_group(alphabet: u16) -> &'static SymmetryGroup {
+    static GROUPS: [OnceLock<SymmetryGroup>; MAX_ALPHABET as usize] =
+        [const { OnceLock::new() }; MAX_ALPHABET as usize];
+    GROUPS[usize::from(alphabet) - 1].get_or_init(|| SymmetryGroup::new(alphabet))
 }
 
 /// The content hash of a block table: FNV-1a over the alphabet followed

@@ -75,7 +75,7 @@ pub fn encode_outcome(key: &str, outcome: &Option<SynthesizedAlgorithm>) -> Vec<
             put_u32(&mut out, algo.row_off as u32);
             put_u32(&mut out, algo.col_off as u32);
             put_u32(&mut out, algo.tiles.len() as u32);
-            for tile in &algo.tiles {
+            for tile in algo.tiles.iter() {
                 for r in 0..algo.shape.rows {
                     for c in 0..algo.shape.cols {
                         out.push(tile.get(r, c) as u8);
@@ -166,7 +166,7 @@ pub fn decode_outcome(bytes: &[u8], key: &str) -> Option<Option<SynthesizedAlgor
                 shape,
                 row_off,
                 col_off,
-                tiles,
+                tiles: tiles.into(),
                 labels,
             })
         }

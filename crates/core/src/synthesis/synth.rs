@@ -9,12 +9,13 @@
 //! orientation bits) — and handed to the CDCL solver; a model is read back
 //! as the lookup table of `A′`.
 
-use super::tiles::{enumerate_tiles, Tile, TileShape};
+use super::tiles::{tile_table, Tile, TileShape, TileTable};
 use crate::lcl::{GridProblem, Label};
 use lcl_grid::{Metric, Pos, Torus2};
 use lcl_local::{GridInstance, Rounds};
 use lcl_sat::{exactly_one, Budget, BudgetExceeded, Lit, SolveOutcome, Solver, Var};
 use std::fmt;
+use std::sync::Arc;
 
 /// Typed failure of a synthesised-algorithm run: the `try_run` entry
 /// points return these instead of panicking.
@@ -87,10 +88,11 @@ impl SynthesisConfig {
 /// problem-independent anchor component plus a finite lookup table.
 ///
 /// The table is stored *interned*: the realizable tiles in their sorted
-/// canonical enumeration order plus a parallel label array. Lookups are
-/// binary searches by reference — no tile is ever cloned or hashed on the
-/// hot path, and the flat arrays (de)serialise directly for the
-/// persistent synthesis cache (see [`super::persist`]).
+/// canonical enumeration order (shared with the process-wide tile memo)
+/// plus a parallel label array. Lookups are binary searches by reference
+/// — no tile is ever cloned or hashed on the hot path, and the flat
+/// arrays (de)serialise directly for the persistent synthesis cache (see
+/// [`super::persist`]).
 #[derive(Clone, Debug)]
 pub struct SynthesizedAlgorithm {
     pub(in crate::synthesis) problem_name: String,
@@ -99,7 +101,7 @@ pub struct SynthesizedAlgorithm {
     pub(in crate::synthesis) row_off: usize,
     pub(in crate::synthesis) col_off: usize,
     /// Realizable tiles, strictly sorted (the canonical enumeration order).
-    pub(in crate::synthesis) tiles: Vec<Tile>,
+    pub(in crate::synthesis) tiles: Arc<[Tile]>,
     /// `labels[i]` is `A′(tiles[i])`.
     pub(in crate::synthesis) labels: Vec<Label>,
 }
@@ -245,10 +247,11 @@ pub fn synthesize(problem: &GridProblem, config: &SynthesisConfig) -> Option<Syn
         .expect("an unlimited budget never trips")
 }
 
-/// [`synthesize`] under a cooperative [`Budget`]: the tile-realizability
-/// SAT solve polls the budget at propagation-loop granularity. A budget
-/// trip is distinguished from unsatisfiability — `Err` means "ran out of
-/// budget", `Ok(None)` means "provably no `A′` with this window shape".
+/// [`synthesize`] under a cooperative [`Budget`]. Tile enumeration is
+/// unbudgeted and memoised per process; only the final CNF solve polls
+/// the budget, at propagation-loop granularity. A budget trip is
+/// distinguished from unsatisfiability — `Err` means "ran out of budget",
+/// `Ok(None)` means "provably no `A′` with this window shape".
 pub fn synthesize_budgeted(
     problem: &GridProblem,
     config: &SynthesisConfig,
@@ -257,21 +260,15 @@ pub fn synthesize_budgeted(
     let shape = config.shape;
     let k = config.k;
     budget.check()?;
-    let tiles = enumerate_tiles(k, shape);
-    let index = TileIndex(&tiles);
+    let table = tile_table(k, shape);
+    let tiles = table.tiles();
 
     let mut solver = Solver::new();
     let assignment: AssignmentFn = match problem {
-        GridProblem::VertexColouring { k: colours } => {
-            encode_vertex(&mut solver, k, shape, &tiles, index, *colours)
-        }
-        GridProblem::EdgeColouring { k: colours } => {
-            encode_edge(&mut solver, k, shape, &tiles, index, *colours)
-        }
-        GridProblem::Orientation { x } => {
-            encode_orientation(&mut solver, k, shape, &tiles, index, *x)
-        }
-        GridProblem::Block(b) => encode_block(&mut solver, k, shape, &tiles, index, b),
+        GridProblem::VertexColouring { k: colours } => encode_vertex(&mut solver, &table, *colours),
+        GridProblem::EdgeColouring { k: colours } => encode_edge(&mut solver, &table, *colours),
+        GridProblem::Orientation { x } => encode_orientation(&mut solver, &table, *x),
+        GridProblem::Block(b) => encode_block(&mut solver, &table, b),
     };
 
     Ok(match solver.solve_budgeted(budget)? {
@@ -283,7 +280,7 @@ pub fn synthesize_budgeted(
                 shape,
                 row_off: shape.rows / 2,
                 col_off: shape.cols / 2,
-                tiles,
+                tiles: Arc::clone(tiles),
                 labels,
             })
         }
@@ -302,9 +299,10 @@ pub fn synthesize_auto(problem: &GridProblem, max_k: usize) -> Option<Synthesize
 }
 
 /// [`synthesize_auto`] under a cooperative [`Budget`], polled between
-/// deepening steps and inside every tile-realizability SAT solve. An
-/// `Err` means the fixpoint was interrupted mid-deepening: the caller
-/// must *not* cache it as a "no normal form up to `max_k`" verdict.
+/// deepening steps and inside every final CNF solve (tile enumeration is
+/// unbudgeted and memoised per process). An `Err` means the fixpoint was
+/// interrupted mid-deepening: the caller must *not* cache it as a "no
+/// normal form up to `max_k`" verdict.
 pub fn synthesize_auto_budgeted(
     problem: &GridProblem,
     max_k: usize,
@@ -331,84 +329,38 @@ pub fn synthesize_auto_budgeted(
     Ok(None)
 }
 
-/// The interned tile table: indices are binary searches over the sorted
-/// canonical enumeration, so building the CSP neither hashes nor clones
-/// tiles as map keys.
-#[derive(Clone, Copy)]
-struct TileIndex<'a>(&'a [Tile]);
-
-impl TileIndex<'_> {
-    fn get(&self, tile: &Tile) -> usize {
-        self.0
-            .binary_search(tile)
-            .expect("sub-tile of a realizable tile is realizable (hereditary)")
-    }
-}
-
-/// Corner sub-tiles `[sw, se, nw, ne]` of a `(rows+1) × (cols+1)`
-/// super-tile, as indices into the tile table.
-fn corner_indices(super_tile: &Tile, shape: TileShape, index: TileIndex<'_>) -> [usize; 4] {
-    let sub = |r0: usize, c0: usize| -> usize {
-        index.get(&super_tile.subtile(r0, c0, shape.rows, shape.cols))
-    };
-    [sub(0, 0), sub(0, 1), sub(1, 0), sub(1, 1)]
-}
-
 type AssignmentFn = Box<dyn Fn(&lcl_sat::Model, usize) -> Label>;
 
-fn encode_vertex(
-    solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
-    colours: u16,
-) -> AssignmentFn {
-    let vars: Vec<Vec<Var>> = tiles
-        .iter()
+fn encode_vertex(solver: &mut Solver, table: &TileTable, colours: u16) -> AssignmentFn {
+    let len = table.tiles().len();
+    let vars: Vec<Vec<Var>> = (0..len)
         .map(|_| solver.new_vars(colours as usize))
         .collect();
     for tv in &vars {
         let lits: Vec<Lit> = tv.iter().map(|&v| Lit::pos(v)).collect();
         exactly_one(solver, &lits);
     }
-    // Horizontally adjacent windows: super-tiles one column wider.
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows, shape.cols + 1)) {
-        let left = index.get(&sup.subtile(0, 0, shape.rows, shape.cols));
-        let right = index.get(&sup.subtile(0, 1, shape.rows, shape.cols));
-        for (&mine, &theirs) in vars[left].iter().zip(&vars[right]) {
-            solver.add_clause([Lit::neg(mine), Lit::neg(theirs)]);
-        }
-    }
-    // Vertically adjacent windows: one row taller.
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols)) {
-        let bottom = index.get(&sup.subtile(0, 0, shape.rows, shape.cols));
-        let top = index.get(&sup.subtile(1, 0, shape.rows, shape.cols));
-        for (&mine, &theirs) in vars[bottom].iter().zip(&vars[top]) {
+    // Horizontally adjacent windows (super-tiles one column wider), then
+    // vertically adjacent ones (one row taller).
+    let [east, north] = table.pairs();
+    for &[a, b] in east.iter().chain(north.iter()) {
+        for (&mine, &theirs) in vars[a as usize].iter().zip(&vars[b as usize]) {
             solver.add_clause([Lit::neg(mine), Lit::neg(theirs)]);
         }
     }
     Box::new(move |model, t| vars[t].iter().position(|&v| model.value(v)).unwrap() as Label)
 }
 
-fn encode_edge(
-    solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
-    colours: u16,
-) -> AssignmentFn {
+fn encode_edge(solver: &mut Solver, table: &TileTable, colours: u16) -> AssignmentFn {
+    let len = table.tiles().len();
     // Factored variables: east colour and north colour per tile.
-    let east: Vec<Vec<Var>> = tiles
-        .iter()
+    let east: Vec<Vec<Var>> = (0..len)
         .map(|_| solver.new_vars(colours as usize))
         .collect();
-    let north: Vec<Vec<Var>> = tiles
-        .iter()
+    let north: Vec<Vec<Var>> = (0..len)
         .map(|_| solver.new_vars(colours as usize))
         .collect();
-    for t in 0..tiles.len() {
+    for t in 0..len {
         let e: Vec<Lit> = east[t].iter().map(|&v| Lit::pos(v)).collect();
         let n: Vec<Lit> = north[t].iter().map(|&v| Lit::pos(v)).collect();
         exactly_one(solver, &e);
@@ -416,8 +368,8 @@ fn encode_edge(
     }
     // Full super-tiles: the ne corner's four incident edges must be
     // distinct: {east(ne), north(ne), east(nw), north(se)}.
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols + 1)) {
-        let [_sw, se, nw, ne] = corner_indices(&sup, shape, index);
+    for corners in table.corners() {
+        let [_sw, se, nw, ne] = corners.map(|i| i as usize);
         let groups = [&east[ne], &north[ne], &east[nw], &north[se]];
         for i in 0..4 {
             for j in i + 1..4 {
@@ -436,17 +388,15 @@ fn encode_edge(
 
 fn encode_orientation(
     solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
+    table: &TileTable,
     x: crate::problems::XSet,
 ) -> AssignmentFn {
+    let len = table.tiles().len();
     // One boolean per tile and owned edge: true = "points away".
-    let east: Vec<Var> = solver.new_vars(tiles.len());
-    let north: Vec<Var> = solver.new_vars(tiles.len());
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols + 1)) {
-        let [_sw, se, nw, ne] = corner_indices(&sup, shape, index);
+    let east: Vec<Var> = solver.new_vars(len);
+    let north: Vec<Var> = solver.new_vars(len);
+    for corners in table.corners() {
+        let [_sw, se, nw, ne] = corners.map(|i| i as usize);
         // indeg(ne) = !east(ne) + !north(ne) + east(nw) + north(se).
         let fields = [east[ne], north[ne], east[nw], north[se]];
         for mask in 0u8..16 {
@@ -468,24 +418,22 @@ fn encode_orientation(
 
 fn encode_block(
     solver: &mut Solver,
-    k: usize,
-    shape: TileShape,
-    tiles: &[Tile],
-    index: TileIndex<'_>,
+    table: &TileTable,
     lcl: &crate::lcl::BlockLcl,
 ) -> AssignmentFn {
+    let len = table.tiles().len();
     let a = lcl.alphabet();
     assert!(
         a <= 8,
         "generic block synthesis is limited to alphabets of size ≤ 8"
     );
-    let vars: Vec<Vec<Var>> = tiles.iter().map(|_| solver.new_vars(a as usize)).collect();
+    let vars: Vec<Vec<Var>> = (0..len).map(|_| solver.new_vars(a as usize)).collect();
     for tv in &vars {
         let lits: Vec<Lit> = tv.iter().map(|&v| Lit::pos(v)).collect();
         exactly_one(solver, &lits);
     }
-    for sup in enumerate_tiles(k, TileShape::new(shape.rows + 1, shape.cols + 1)) {
-        let [sw, se, nw, ne] = corner_indices(&sup, shape, index);
+    for corners in table.corners() {
+        let [sw, se, nw, ne] = corners.map(|i| i as usize);
         for lsw in 0..a {
             for lse in 0..a {
                 for lnw in 0..a {
@@ -584,6 +532,14 @@ mod tests {
         let small = rounds(12);
         let large = rounds(64);
         assert!(large <= small + 8, "rounds grew: {small} -> {large}");
+    }
+
+    #[test]
+    fn synthesised_tiles_share_the_memo() {
+        let p = problems::orientation(XSet::from_degrees(&[1, 3, 4]));
+        let algo = synthesize_auto(&p, 1).unwrap();
+        let memo = tile_table(algo.k(), algo.shape());
+        assert!(Arc::ptr_eq(&algo.tiles, memo.tiles()));
     }
 
     #[test]

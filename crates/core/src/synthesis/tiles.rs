@@ -15,9 +15,15 @@
 //! §7 calibration: for `k = 1` there are exactly **16** tiles of shape
 //! 3×2 (the paper lists them), and for `k = 3` there are exactly **2079**
 //! tiles of shape 7×5.
+//!
+//! A tile set depends only on `(k, shape)`, never on the LCL, so the
+//! synthesiser reads it through `tile_table`, a process-wide memo;
+//! [`enumerate_tiles`] stays the uncached reference.
 
 use lcl_sat::{Lit, SolveOutcome, Solver};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The shape of a tile window: `rows × cols` (rows run south → north).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -268,6 +274,94 @@ pub fn realizable(k: usize, tile: &Tile) -> bool {
     matches!(solver.solve(), SolveOutcome::Sat(_))
 }
 
+/// The memoised tiles of one `(k, shape)` plus index lists over its
+/// super-windows, each built on first use (single-flight per cell). The
+/// super-window tiles themselves are dropped once indexed. Nothing is
+/// evicted: for the life of the process a table retains its window
+/// tiles, 16 bytes per full super-tile once `corners` is built, and 8
+/// bytes per east and per north super-tile once `pairs` is. The worst
+/// case at the default `max_synthesis_k = 3` is the 7×7 window: 328,652
+/// 8×8 super-tiles, about 5.3 MB of corners.
+pub(crate) struct TileTable {
+    k: usize,
+    shape: TileShape,
+    tiles: OnceLock<Arc<[Tile]>>,
+    corners: OnceLock<Box<[[u32; 4]]>>,
+    pairs: OnceLock<[Box<[[u32; 2]]>; 2]>,
+}
+
+/// Every table built so far, keyed by `(k, rows, cols)`. The lock is held
+/// only to fetch a table; enumeration runs outside it. The one update,
+/// inserting an empty table, cannot leave the map half-written, so a
+/// poisoned lock is safe to recover.
+static TABLES: Mutex<BTreeMap<(usize, usize, usize), Arc<TileTable>>> = Mutex::new(BTreeMap::new());
+
+/// The process-wide tile table of `(k, shape)`.
+pub(crate) fn tile_table(k: usize, shape: TileShape) -> Arc<TileTable> {
+    let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+    let table = tables
+        .entry((k, shape.rows, shape.cols))
+        .or_insert_with(|| {
+            Arc::new(TileTable {
+                k,
+                shape,
+                tiles: OnceLock::new(),
+                corners: OnceLock::new(),
+                pairs: OnceLock::new(),
+            })
+        });
+    Arc::clone(table)
+}
+
+impl TileTable {
+    /// The realizable tiles in canonical order ([`enumerate_tiles`]).
+    pub(crate) fn tiles(&self) -> &Arc<[Tile]> {
+        self.tiles
+            .get_or_init(|| enumerate_tiles(self.k, self.shape).into())
+    }
+
+    /// Corner tiles `[sw, se, nw, ne]` of every super-tile one row and one
+    /// column larger, in super-tile order.
+    pub(crate) fn corners(&self) -> &[[u32; 4]] {
+        self.corners
+            .get_or_init(|| self.sub_indices((1, 1), [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    }
+
+    /// East pairs `[west, east]` of every super-tile one column wider,
+    /// then north pairs `[south, north]` of every super-tile one row
+    /// taller, each in super-tile order.
+    pub(crate) fn pairs(&self) -> &[Box<[[u32; 2]]>; 2] {
+        self.pairs.get_or_init(|| {
+            [
+                self.sub_indices((0, 1), [(0, 0), (0, 1)]),
+                self.sub_indices((1, 0), [(0, 0), (1, 0)]),
+            ]
+        })
+    }
+
+    /// Enumerates the super-window `grow` larger and records, per
+    /// super-tile, the table index of the window at each offset.
+    fn sub_indices<const N: usize>(
+        &self,
+        grow: (usize, usize),
+        offsets: [(usize, usize); N],
+    ) -> Box<[[u32; N]]> {
+        let (rows, cols) = (self.shape.rows, self.shape.cols);
+        let tiles = self.tiles();
+        enumerate_tiles(self.k, TileShape::new(rows + grow.0, cols + grow.1))
+            .iter()
+            .map(|sup| {
+                offsets.map(|(r0, c0)| {
+                    let i = tiles
+                        .binary_search(&sup.subtile(r0, c0, rows, cols))
+                        .expect("sub-tile of a realizable tile is realizable (hereditary)");
+                    u32::try_from(i).expect("a tile table holds fewer than 2^32 tiles")
+                })
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,6 +461,86 @@ mod tests {
         assert_eq!(t.to_string(), "010\n000\n100");
         assert!(t.get(0, 0)); // south-west corner
         assert!(t.get(2, 1)); // north row, middle column
+    }
+
+    /// The window shapes `synthesize_auto` tries at `k`, each followed by
+    /// its three super-window shapes.
+    fn auto_shapes(k: usize) -> Vec<TileShape> {
+        [(2 * k - 1).max(2), 2 * k + 1]
+            .into_iter()
+            .flat_map(|cols| {
+                let rows = 2 * k + 1;
+                [(0, 0), (0, 1), (1, 0), (1, 1)]
+                    .map(|(dr, dc)| TileShape::new(rows + dr, cols + dc))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoised_tiles_equal_enumeration() {
+        let shapes = (1..=2)
+            .flat_map(|k| auto_shapes(k).into_iter().map(move |s| (k, s)))
+            .chain([(3, TileShape::new(7, 5))]);
+        for (k, shape) in shapes {
+            let table = tile_table(k, shape);
+            assert_eq!(**table.tiles(), *enumerate_tiles(k, shape), "k={k} {shape}");
+        }
+    }
+
+    /// The index lists equal the per-super-tile `subtile` + binary-search
+    /// derivation they replace, element by element and in order.
+    #[test]
+    fn index_lists_match_subtile_derivation() {
+        for k in 1..=2 {
+            for shape in auto_shapes(k).into_iter().step_by(4) {
+                let (rows, cols) = (shape.rows, shape.cols);
+                let table = tile_table(k, shape);
+                let tiles = enumerate_tiles(k, shape);
+                let index = |sup: &Tile, r0, c0| {
+                    tiles
+                        .binary_search(&sup.subtile(r0, c0, rows, cols))
+                        .unwrap() as u32
+                };
+                let derive = |dr, dc, offsets: &[(usize, usize)]| -> Vec<Vec<u32>> {
+                    enumerate_tiles(k, TileShape::new(rows + dr, cols + dc))
+                        .iter()
+                        .map(|sup| offsets.iter().map(|&(r0, c0)| index(sup, r0, c0)).collect())
+                        .collect()
+                };
+                let corners: Vec<Vec<u32>> = table.corners().iter().map(|c| c.to_vec()).collect();
+                let [east, north] = table
+                    .pairs()
+                    .each_ref()
+                    .map(|list| list.iter().map(|p| p.to_vec()).collect::<Vec<Vec<u32>>>());
+                assert_eq!(corners, derive(1, 1, &[(0, 0), (0, 1), (1, 0), (1, 1)]));
+                assert_eq!(east, derive(0, 1, &[(0, 0), (0, 1)]));
+                assert_eq!(north, derive(1, 0, &[(0, 0), (1, 0)]));
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_requests_share_one_table() {
+        // A shape no other test uses, so all four threads race to build it.
+        let shape = TileShape::new(2, 4);
+        let start = std::sync::Barrier::new(4);
+        let tables: Vec<Arc<TileTable>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let table = tile_table(1, shape);
+                        table.corners();
+                        table
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for table in &tables[1..] {
+            assert!(Arc::ptr_eq(table, &tables[0]));
+            assert!(Arc::ptr_eq(table.tiles(), tables[0].tiles()));
+        }
     }
 
     #[test]
