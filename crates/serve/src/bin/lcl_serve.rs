@@ -16,9 +16,8 @@
 //! port without racing the bind.
 //!
 //! `--chaos-seed` arms the engine's deterministic fault-injection
-//! battery (DESIGN.md §10): disk-cache I/O errors, solver panics,
-//! artificial latency, and poisoned dedup entries, all scheduled purely
-//! by the seed. Off by default; never arm it in production.
+//! battery (DESIGN.md §10): disk-cache read and write errors, solver
+//! panics, and artificial latency, all scheduled purely by the seed. Off by default; never arm it in production.
 //!
 //! `--trace-sample-rate` / `--slow-ms` enable span tracing (DESIGN.md
 //! §12): sampled and slow requests are captured and served back at

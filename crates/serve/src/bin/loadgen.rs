@@ -42,7 +42,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// Traffic mix: one request kind per slot, cycled round-robin per
 /// client. Solves dominate (they are the service's purpose); the DSL
 /// prepare exercises compilation + the tenant plan cache; the batch
-/// exercises the streaming path and its dedup window.
+/// exercises the slice path and its exact in-batch dedup.
 const KINDS: [&str; 6] = [
     "solve",
     "solve",

@@ -11,9 +11,9 @@
 //! * **Admission control** — an acceptor thread feeds a *bounded*
 //!   connection queue; when it is full the client gets a typed
 //!   `429 busy` response immediately instead of an unbounded buffer.
-//!   Batch bodies then ride `solve_stream`'s own `O(threads)`
-//!   backpressure, so peak memory is `O(queue_cap + workers)` whatever
-//!   the offered load.
+//!   A batch body is capped at `max_batch_jobs` jobs and solved as one
+//!   engine slice (`solve_jobs_with`), so peak memory is
+//!   `O(queue_cap + workers)` bodies whatever the offered load.
 //! * **Multi-tenant plan namespaces** — plans are keyed by the
 //!   canonical [`Registry::plan_cache_key`](lcl_grids::engine::Registry::plan_cache_key)
 //!   per tenant, with per-tenant LRU caps on top of the engine's own

@@ -1,7 +1,7 @@
 //! Service metrics: lock-cheap counters, log-bucketed latency
 //! histograms with p50/p99 estimation, and the `/metrics` JSON document
 //! that stitches them together with the engine's own counters
-//! (prepare/synthesis stats, plan counts, stream dedup hits) and
+//! (prepare/synthesis stats, plan counts, in-batch dedup hits) and
 //! per-problem solve rows.
 
 use crate::json::Json;
@@ -274,11 +274,12 @@ impl Metrics {
         }
     }
 
-    /// Folds one solve outcome into the named problem's row — or into
-    /// the `(other)` overflow row once `MAX_PROBLEM_ROWS` distinct
-    /// names exist, so client-minted problem names (DSL sources) cannot
-    /// grow this map or the `/metrics` document without bound.
-    pub fn record_solve(&self, problem: &str, solved: bool, deduped: bool) {
+    /// Folds solve outcomes (one solve, or one problem's row of a batch)
+    /// into the named problem's row — or into the `(other)` overflow row
+    /// once `MAX_PROBLEM_ROWS` distinct names exist, so client-minted
+    /// problem names (DSL sources) cannot grow this map or the
+    /// `/metrics` document without bound.
+    pub fn record_solves(&self, problem: &str, solved: usize, failed: usize, dedup_hits: usize) {
         let mut rows = self
             .per_problem
             .lock()
@@ -289,15 +290,10 @@ impl Metrics {
             OVERFLOW_PROBLEM_ROW
         };
         let row = rows.entry(key.to_string()).or_default();
-        row.jobs += 1;
-        if solved {
-            row.solved += 1;
-        } else {
-            row.failed += 1;
-        }
-        if deduped {
-            row.dedup_hits += 1;
-        }
+        row.jobs += (solved + failed) as u64;
+        row.solved += solved as u64;
+        row.failed += failed as u64;
+        row.dedup_hits += dedup_hits as u64;
     }
 
     /// True while server-side failures dominate traffic: at least
@@ -376,10 +372,6 @@ impl Metrics {
                         })
                         .collect(),
                 ),
-            ),
-            (
-                "dedup_poison_recoveries",
-                Json::count(health.dedup_poison_recoveries()),
             ),
         ]);
         let chaos_json = match engine.chaos() {
@@ -650,7 +642,7 @@ impl Metrics {
         counter(
             &mut out,
             "lcl_engine_stream_dedup_hits_total",
-            "Batch-stream dedup window hits.",
+            "Jobs answered by exact in-batch dedup instead of a fresh solve.",
             engine.stream_dedup_hits(),
         );
         let health = engine.health();
@@ -704,14 +696,14 @@ mod tests {
     fn per_problem_rows_fold_overflow_into_other() {
         let m = Metrics::default();
         for i in 0..(MAX_PROBLEM_ROWS + 50) {
-            m.record_solve(&format!("minted-{i}"), true, false);
+            m.record_solves(&format!("minted-{i}"), 1, 0, 0);
         }
         let rows = m.per_problem.lock().unwrap();
         assert!(rows.len() <= MAX_PROBLEM_ROWS + 1, "rows: {}", rows.len());
         assert_eq!(rows.get(OVERFLOW_PROBLEM_ROW).unwrap().jobs, 50);
         drop(rows);
         // Known names keep accumulating on their own row past the cap.
-        m.record_solve("minted-0", false, false);
+        m.record_solves("minted-0", 0, 1, 0);
         let rows = m.per_problem.lock().unwrap();
         assert_eq!(rows.get("minted-0").unwrap().failed, 1);
     }

@@ -5,10 +5,10 @@
 //!
 //! Admission control is the load-bearing design point: the acceptor
 //! never buffers unboundedly. A connection either fits in the
-//! `queue_cap`-bounded queue (where it waits for a worker, which in turn
-//! rides [`Engine::solve_stream`]'s own `O(threads)` backpressure for
-//! batch bodies) or is answered `429 busy` on the spot and closed — so
-//! peak memory is `O(queue_cap + workers)`, whatever the offered load.
+//! `queue_cap`-bounded queue (where it waits for a worker, which solves
+//! a batch body of at most `max_batch_jobs` jobs as one engine slice) or
+//! is answered `429 busy` on the spot and closed — so peak memory is
+//! `O(queue_cap + workers)`, whatever the offered load.
 
 use crate::api::{parse_instance, parse_problem, solve_error_body, solve_error_status, ApiError};
 use crate::http::{read_request, write_response, Request};
@@ -62,9 +62,6 @@ pub struct ServeConfig {
     pub max_instance_nodes: usize,
     /// Most jobs admitted per `/solve-batch` body.
     pub max_batch_jobs: usize,
-    /// Stream dedup window for batch bodies
-    /// ([`lcl_grids::engine::EngineBuilder::stream_dedup_window`]).
-    pub stream_dedup_window: usize,
     /// Synthesis budget `k` (part of every plan cache key).
     pub max_synthesis_k: usize,
     /// Deadline applied to requests that do not name one themselves
@@ -121,7 +118,6 @@ impl Default for ServeConfig {
             max_prepared_plans: 256,
             max_instance_nodes: 1 << 16,
             max_batch_jobs: 1024,
-            stream_dedup_window: 32,
             max_synthesis_k: 3,
             default_deadline: None,
             chaos: None,
@@ -330,8 +326,7 @@ impl Server {
         let mut builder = Engine::builder()
             .threads(config.engine_threads)
             .max_synthesis_k(config.max_synthesis_k)
-            .max_prepared_plans(config.max_prepared_plans)
-            .stream_dedup_window(config.stream_dedup_window);
+            .max_prepared_plans(config.max_prepared_plans);
         if let Some(chaos) = config.chaos.clone() {
             builder = builder.chaos_config(chaos);
         }
@@ -1174,7 +1169,7 @@ fn endpoint_solve(shared: &Shared, request: &Request) -> Result<(u16, String), A
         Ok(labelling) => {
             shared
                 .metrics
-                .record_solve(&labelling.report.problem, true, false);
+                .record_solves(&labelling.report.problem, 1, 0, 0);
             logging::set_solver(&labelling.report.solver);
             let mut row = labelling_json(&labelling, return_labels);
             if let Json::Obj(fields) = &mut row {
@@ -1185,7 +1180,7 @@ fn endpoint_solve(shared: &Shared, request: &Request) -> Result<(u16, String), A
         Err(err) => {
             shared
                 .metrics
-                .record_solve(prepared.spec().name(), false, false);
+                .record_solves(prepared.spec().name(), 0, 1, 0);
             Ok((
                 solve_error_status(&err),
                 solve_failure_body(&err, &prepared),
@@ -1239,47 +1234,34 @@ fn endpoint_solve_batch(shared: &Shared, request: &Request) -> Result<(u16, Stri
         jobs.push(Job::new(prepared, instance));
     }
 
-    // Ride the engine's streaming surface: bounded channel, worker-pool
-    // parallelism, and the opt-in dedup window all come from the engine
-    // configuration; outcomes arrive in completion order and are
-    // re-sequenced by index here.
+    // The whole body is one slice: the engine dedups it exactly, solves
+    // the distinct jobs on its workers, and returns rows in input order.
     // One budget for the whole body: deadline and step quota are joint
     // across every job, which is what a caller's end-to-end deadline
     // means.
     let budget = budget_of(shared, request, &body)?;
-    let total = jobs.len();
-    let mut rows: Vec<Json> = (0..total).map(|_| Json::Null).collect();
-    let (mut solved, mut failed, mut dedup_hits) = (0u64, 0u64, 0u64);
-    for outcome in shared.engine.solve_stream_with(jobs, &budget) {
-        let idx = outcome.index as usize;
-        if idx >= total {
-            continue;
-        }
-        if outcome.deduped {
-            dedup_hits += 1;
-        }
+    let report = shared.engine.solve_jobs_with(&jobs, &budget);
+    for row in report.per_problem() {
         shared
             .metrics
-            .record_solve(&outcome.problem, outcome.result.is_ok(), outcome.deduped);
-        rows[idx] = match &outcome.result {
-            Ok(labelling) => {
-                solved += 1;
-                labelling_json(labelling, return_labels)
-            }
-            Err(err) => {
-                failed += 1;
-                error_json(err)
-            }
-        };
+            .record_solves(&row.problem, row.solved, row.failed, row.dedup_hits);
     }
+    let rows = report
+        .results()
+        .iter()
+        .map(|result| match result {
+            Ok(labelling) => labelling_json(labelling, return_labels),
+            Err(err) => error_json(err),
+        })
+        .collect();
     Ok((
         200,
         Json::obj(vec![
             ("tenant", Json::str(tenant)),
-            ("jobs", Json::size(total)),
-            ("solved", Json::count(solved)),
-            ("failed", Json::count(failed)),
-            ("dedup_hits", Json::count(dedup_hits)),
+            ("jobs", Json::size(jobs.len())),
+            ("solved", Json::size(report.solved())),
+            ("failed", Json::size(report.failed())),
+            ("dedup_hits", Json::size(report.dedup_hits())),
             ("results", Json::Arr(rows)),
         ])
         .to_string(),

@@ -213,8 +213,26 @@ fn happy_path_prepare_solve_classify_metrics() {
 fn solve_batch_dedups_and_orders_results() {
     let server = test_server(16, 2);
     let addr = server.addr();
-    // 12 jobs over 3 distinct (problem, instance) groups: the stream
-    // dedup window answers the repeats.
+    let dedup_counters = || {
+        let (status, body) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        let metrics = Json::parse(&body).unwrap();
+        let engine_hits = metrics
+            .get("engine")
+            .and_then(|e| e.get("stream_dedup_hits"))
+            .and_then(Json::as_u64)
+            .unwrap();
+        let row_hits = metrics
+            .get("problems")
+            .and_then(|p| p.get("independent-set"))
+            .and_then(|r| r.get("dedup_hits"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
+        (engine_hits, row_hits)
+    };
+    let (engine_before, row_before) = dedup_counters();
+    // 12 jobs over 3 distinct (problem, instance) groups: the slice
+    // path's exact dedup answers every repeat.
     let jobs: Vec<String> = (0..12)
         .map(|i| {
             format!(
@@ -233,9 +251,10 @@ fn solve_batch_dedups_and_orders_results() {
     assert_eq!(report.get("jobs").unwrap().as_usize(), Some(12));
     assert_eq!(report.get("solved").unwrap().as_usize(), Some(12));
     assert_eq!(report.get("failed").unwrap().as_usize(), Some(0));
-    assert!(
-        report.get("dedup_hits").unwrap().as_u64().unwrap() >= 6,
-        "12 jobs over 3 groups must mostly dedup: {body}"
+    assert_eq!(
+        report.get("dedup_hits").unwrap().as_u64(),
+        Some(9),
+        "12 jobs over 3 groups dedup exactly: {body}"
     );
     let results = report.get("results").unwrap().as_arr().unwrap();
     assert_eq!(results.len(), 12);
@@ -243,6 +262,9 @@ fn solve_batch_dedups_and_orders_results() {
         assert_eq!(row.get("ok").unwrap().as_bool(), Some(true));
         assert!(row.get("labels").is_none(), "batch omits labels by default");
     }
+    let (engine_after, row_after) = dedup_counters();
+    assert_eq!(engine_after - engine_before, 9, "engine dedup counter");
+    assert_eq!(row_after - row_before, 9, "independent-set dedup row");
 
     // A mixed batch with an unsolvable job: per-job failure, 200 overall.
     let (status, body) = post(
@@ -262,6 +284,61 @@ fn solve_batch_dedups_and_orders_results() {
     assert_eq!(rows[0].get("ok").unwrap().as_bool(), Some(false));
     assert_eq!(rows[0].get("error").unwrap().as_str(), Some("unsolvable"));
     assert_eq!(rows[1].get("ok").unwrap().as_bool(), Some(true));
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn adjacent_copies_dedup_exactly_on_parallel_engine_threads() {
+    // Two engine threads could pull both copies at once; the body is
+    // grouped before anything is solved, so the copy is still a hit.
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        queue_cap: 16,
+        engine_threads: 2,
+        max_synthesis_k: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind test server");
+    let addr = server.addr();
+    let job = r#"{"problem":{"type":"independent-set"},"instance":{"topology":"torus2","side":8,"ids":{"kind":"shuffled","seed":5}}}"#;
+    let other = r#"{"problem":{"type":"independent-set"},"instance":{"topology":"torus2","side":8,"ids":{"kind":"shuffled","seed":6}}}"#;
+    let (status, body) = post(
+        addr,
+        "/solve-batch",
+        &format!(r#"{{"jobs":[{job},{job},{other}],"return_labels":true}}"#),
+    );
+    assert_eq!(status, 200, "{body}");
+    let report = Json::parse(&body).unwrap();
+    assert_eq!(report.get("solved").unwrap().as_usize(), Some(3));
+    assert_eq!(
+        report.get("dedup_hits").unwrap().as_u64(),
+        Some(1),
+        "{body}"
+    );
+    let rows = report.get("results").unwrap().as_arr().unwrap();
+    assert_eq!(
+        rows[0].get("labels").unwrap().to_string(),
+        rows[1].get("labels").unwrap().to_string(),
+        "the copy carries its twin's labelling"
+    );
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn empty_batch_answers_zero_rows() {
+    let server = test_server(16, 2);
+    let addr = server.addr();
+    let (status, body) = post(addr, "/solve-batch", r#"{"jobs":[]}"#);
+    assert_eq!(status, 200, "{body}");
+    let report = Json::parse(&body).unwrap();
+    assert_eq!(report.get("jobs").unwrap().as_usize(), Some(0));
+    assert_eq!(report.get("solved").unwrap().as_usize(), Some(0));
+    assert_eq!(report.get("dedup_hits").unwrap().as_u64(), Some(0));
+    assert!(report.get("results").unwrap().as_arr().unwrap().is_empty());
 
     server.shutdown();
     server.wait();
@@ -689,8 +766,8 @@ fn chaos_schedules_are_deterministic_across_runs() {
             let (status, _) = post(addr, "/solve", &body);
             outcomes.push(format!("solve:{status}"));
         }
-        // A batch over 3 repeated groups exercises the dedup window and
-        // its poison point.
+        // A batch over 3 repeated groups exercises batch dedup under
+        // chaos.
         let jobs: Vec<String> = (0..12)
             .map(|i| {
                 format!(
@@ -728,14 +805,9 @@ fn chaos_schedules_are_deterministic_across_runs() {
                 .collect(),
             other => panic!("chaos.injected must be an object, got {other}"),
         };
-        let recoveries = metrics
-            .get("health")
-            .and_then(|h| h.get("dedup_poison_recoveries"))
-            .and_then(Json::as_u64)
-            .unwrap();
         server.shutdown();
         server.wait();
-        (outcomes, injected, recoveries)
+        (outcomes, injected)
     };
 
     let first = run();
@@ -743,20 +815,6 @@ fn chaos_schedules_are_deterministic_across_runs() {
     assert_eq!(
         first, second,
         "same seed + same requests must replay the same fault schedule"
-    );
-
-    // Poison accounting: every detected poisoning maps back to an
-    // injection (an injected poison may go unobserved — the entry can
-    // be evicted first — but never the other way around).
-    let injected_poisons = first
-        .1
-        .iter()
-        .find(|(k, _)| k == "dedup_poison")
-        .map_or(0, |(_, n)| *n);
-    assert!(
-        first.2 <= injected_poisons,
-        "recoveries {} must not exceed injected poisons {injected_poisons}",
-        first.2
     );
 }
 

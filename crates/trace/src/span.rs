@@ -40,8 +40,6 @@ pub enum SpanKind {
     Synthesis,
     /// A LOCAL-model simulator run.
     Simulator,
-    /// A dedup-window lookup (stream path).
-    Dedup,
     /// Output validation against the problem spec.
     Validation,
     /// A zero-duration instant event (breaker skip, cache hit, …).
@@ -61,8 +59,7 @@ impl SpanKind {
             6 => SpanKind::Sat,
             7 => SpanKind::Synthesis,
             8 => SpanKind::Simulator,
-            9 => SpanKind::Dedup,
-            10 => SpanKind::Validation,
+            9 => SpanKind::Validation,
             _ => SpanKind::Mark,
         }
     }
@@ -79,7 +76,6 @@ impl SpanKind {
             SpanKind::Sat => "sat",
             SpanKind::Synthesis => "synthesis",
             SpanKind::Simulator => "simulator",
-            SpanKind::Dedup => "dedup",
             SpanKind::Validation => "validation",
             SpanKind::Mark => "mark",
         }
@@ -94,7 +90,6 @@ impl SpanKind {
             SpanKind::Sat => ["decisions", "propagations", "conflicts", "learned"],
             SpanKind::Synthesis => ["attempts", "origin", "k", "c3"],
             SpanKind::Simulator => ["rounds", "nodes", "c2", "c3"],
-            SpanKind::Dedup => ["hit", "poisoned", "c2", "c3"],
             _ => ["c0", "c1", "c2", "c3"],
         }
     }
@@ -112,9 +107,8 @@ impl From<SpanKind> for u32 {
             SpanKind::Sat => 6,
             SpanKind::Synthesis => 7,
             SpanKind::Simulator => 8,
-            SpanKind::Dedup => 9,
-            SpanKind::Validation => 10,
-            SpanKind::Mark => 11,
+            SpanKind::Validation => 9,
+            SpanKind::Mark => 10,
         }
     }
 }
@@ -333,7 +327,6 @@ mod tests {
             SpanKind::Sat,
             SpanKind::Synthesis,
             SpanKind::Simulator,
-            SpanKind::Dedup,
             SpanKind::Validation,
             SpanKind::Mark,
         ] {

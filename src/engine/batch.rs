@@ -1,7 +1,8 @@
 //! The batched solve path: slices of jobs, mixed problems welcome.
 //!
 //! [`Engine::solve_batch`] (one prepared problem, a slice of instances)
-//! and [`Engine::solve_jobs`] (a slice of mixed-problem [`Job`]s) are the
+//! and [`Engine::solve_jobs`] / [`Engine::solve_jobs_with`] (a slice of
+//! mixed-problem [`Job`]s, the latter under a joint [`Budget`]) are the
 //! slice entry points: per-instance failures stay independent (one
 //! unsolvable torus does not poison the batch — even a panicking solver
 //! comes back as a typed [`SolveError::Panicked`]), and interchangeable
@@ -11,12 +12,17 @@
 //! through [`Engine::solve_stream_with`] (whose workers are the ones
 //! configured with
 //! [`EngineBuilder::threads`](crate::engine::EngineBuilder::threads)),
-//! and put each outcome back by its input index.
+//! and put each outcome back by its input index, cloning it to the
+//! group's duplicates.
 //!
-//! Dedup shares only between jobs of the *same prepared handle* (with
-//! the canonical cache key namespacing the hash buckets): two problems —
-//! or two differently-configured engines' handles — solving instances
-//! with identical dimensions and identifiers never share a labelling.
+//! This in-batch grouping is the engine's only dedup. It is exact —
+//! every duplicate in the slice is found before anything is solved — and
+//! it keeps nothing once the call returns; the stream does no dedup of
+//! its own. Dedup shares only between jobs of the *same prepared handle*
+//! (with the canonical cache key namespacing the hash buckets): two
+//! problems — or two differently-configured engines' handles — solving
+//! instances with identical dimensions and identifiers never share a
+//! labelling.
 //!
 //! Determinism contract: for a fixed engine configuration, the results —
 //! labels, reports, and errors alike — are identical whatever the thread
@@ -28,6 +34,7 @@ use super::{Engine, Instance, Labelling, PreparedProblem, SolveError};
 use lcl_sat::Budget;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One unit of batch or stream work: a prepared problem plus an instance
@@ -41,7 +48,7 @@ pub struct Job {
     /// The instance to solve.
     pub instance: Instance,
     /// Optional per-job budget (see [`Job::with_budget`]); kept private
-    /// so the dedup paths below are the only arbiters of how budgeted
+    /// so the dedup grouping below is the only arbiter of how budgeted
     /// jobs share.
     budget: Option<Budget>,
 }
@@ -63,11 +70,10 @@ impl Job {
     /// instance gets a typed [`SolveError::DeadlineExceeded`] while its
     /// neighbours keep their full budgets.
     ///
-    /// A budgeted job is never dedup-shared (neither by the in-batch
-    /// grouping nor the stream dedup window): its budget is consumable
-    /// state, so two jobs carrying separate budgets are not
-    /// interchangeable — a quota that trips on one must not decide the
-    /// other.
+    /// A budgeted job is never dedup-shared by the in-batch grouping:
+    /// its budget is consumable state, so two jobs carrying separate
+    /// budgets are not interchangeable — a quota that trips on one must
+    /// not decide the other.
     pub fn with_budget(mut self, budget: Budget) -> Job {
         self.budget = Some(budget);
         self
@@ -93,8 +99,8 @@ pub struct ProblemBatchStats {
     pub solved: usize,
     /// Jobs that failed.
     pub failed: usize,
-    /// Jobs answered by the in-batch labelling cache or the stream dedup
-    /// window instead of a fresh solve.
+    /// Jobs answered by the in-batch labelling cache instead of a fresh
+    /// solve.
     pub dedup_hits: usize,
     /// Fresh solves answered by the §7 synthesised normal form (the
     /// solver whose tables ride the registry's synthesis cache).
@@ -132,9 +138,9 @@ impl BatchReport {
         self.results.len() - self.solved()
     }
 
-    /// Jobs answered without a fresh solve: duplicates of an earlier job
-    /// in the same batch, plus answers from a configured
-    /// [`stream_dedup_window`](crate::engine::EngineBuilder::stream_dedup_window).
+    /// Jobs answered without a fresh solve: exactly the duplicates of an
+    /// earlier job in the same batch (0 with
+    /// [`EngineBuilder::dedup`](crate::engine::EngineBuilder::dedup) off).
     pub fn dedup_hits(&self) -> usize {
         self.dedup_hits
     }
@@ -248,11 +254,10 @@ fn dedup_groups(jobs: &[JobRef<'_>], dedup: bool) -> (Vec<usize>, Vec<usize>) {
 }
 
 /// The FNV fingerprint of a job's dedup identity: problem cache key,
-/// canonical topology tag, dimensions, and identifiers. Shared by the
-/// batch dedup grouping and the stream dedup window — both always verify
-/// candidate matches against the actual jobs, so a fingerprint collision
-/// costs a comparison, never a wrong share.
-pub(crate) fn job_fingerprint(prepared: &PreparedProblem, inst: &Instance) -> u64 {
+/// canonical topology tag, dimensions, and identifiers. `dedup_groups`
+/// always verifies candidate matches against the actual jobs, so a
+/// fingerprint collision costs a comparison, never a wrong share.
+fn job_fingerprint(prepared: &PreparedProblem, inst: &Instance) -> u64 {
     let (tag, dims) = inst.canonical_shape();
     fnv1a64(
         prepared
@@ -269,11 +274,14 @@ pub(crate) fn job_fingerprint(prepared: &PreparedProblem, inst: &Instance) -> u6
 /// Aggregates the per-problem rows of a finished batch. Rows are keyed
 /// by prepared-handle identity — the same criterion dedup shares by — so
 /// key-equal handles from differently-configured engines report as
-/// separate rows, matching the dedup accounting exactly.
+/// separate rows, matching the dedup accounting exactly. Exactly the
+/// group representatives were solved fresh; every other job is a dedup
+/// hit.
 fn per_problem_stats(
     jobs: &[JobRef<'_>],
     results: &[Result<Labelling, SolveError>],
-    fresh: &[bool],
+    reps: &[usize],
+    group_of: &[usize],
 ) -> Vec<ProblemBatchStats> {
     let mut rows: Vec<ProblemBatchStats> = Vec::new();
     let mut row_of: HashMap<*const PreparedProblem, usize> = HashMap::new();
@@ -291,17 +299,18 @@ fn per_problem_stats(
             rows.len() - 1
         });
         let stats = &mut rows[row];
+        let fresh = reps[group_of[i]] == i;
         stats.jobs += 1;
         match &results[i] {
             Ok(labelling) => {
                 stats.solved += 1;
-                if fresh[i] && labelling.report.solver == super::registry::SYNTHESIS_SOLVER_NAME {
+                if fresh && labelling.report.solver == super::registry::SYNTHESIS_SOLVER_NAME {
                     stats.synth_solves += 1;
                 }
             }
             Err(_) => stats.failed += 1,
         }
-        if !fresh[i] {
+        if !fresh {
             stats.dedup_hits += 1;
         }
     }
@@ -324,36 +333,33 @@ impl Engine {
         prepared: &Arc<PreparedProblem>,
         instances: &[Instance],
     ) -> BatchReport {
-        self.solve_batch_with(prepared, instances, &Budget::unlimited())
-    }
-
-    /// [`Engine::solve_batch`] under a cooperative [`Budget`]. The budget
-    /// is *joint* across the whole batch (the workers share its clock and
-    /// step counter), so a batch deadline bounds the batch, not each job;
-    /// jobs dispatched after the trip fail fast with the same typed
-    /// error, and per-job failures stay independent as always.
-    pub fn solve_batch_with(
-        &self,
-        prepared: &Arc<PreparedProblem>,
-        instances: &[Instance],
-        budget: &Budget,
-    ) -> BatchReport {
         let jobs: Vec<JobRef<'_>> = instances
             .iter()
             .map(|inst| (prepared, inst, None))
             .collect();
-        self.run_batch(&jobs, budget)
+        self.run_batch(&jobs, &Budget::unlimited())
     }
 
     /// Solves a slice of mixed-problem [`Job`]s with the same contract as
     /// [`Engine::solve_batch`]: input order preserved, per-job failures
     /// independent, dedup namespaced by each job's prepared problem.
     pub fn solve_jobs(&self, jobs: &[Job]) -> BatchReport {
+        self.solve_jobs_with(jobs, &Budget::unlimited())
+    }
+
+    /// [`Engine::solve_jobs`] under a cooperative [`Budget`]. The budget
+    /// is *joint* across the whole slice (the workers share its clock and
+    /// step counter), so a batch deadline bounds the batch, not each job;
+    /// jobs dispatched after the trip fail fast with the same typed
+    /// error, and per-job failures stay independent as always. A job
+    /// carrying its own [`Job::with_budget`] override is governed by that
+    /// budget instead.
+    pub fn solve_jobs_with(&self, jobs: &[Job], budget: &Budget) -> BatchReport {
         let refs: Vec<JobRef<'_>> = jobs
             .iter()
             .map(|job| (&job.prepared, &job.instance, job.budget()))
             .collect();
-        self.run_batch(&refs, &Budget::unlimited())
+        self.run_batch(&refs, budget)
     }
 
     fn run_batch(&self, jobs: &[JobRef<'_>], budget: &Budget) -> BatchReport {
@@ -375,11 +381,8 @@ impl Engine {
         );
         let threads = stream.threads();
         let mut results = vec![None; jobs.len()];
-        let mut fresh = vec![false; jobs.len()];
         for outcome in stream {
-            let rep = reps[outcome.index as usize];
-            results[rep] = Some(outcome.result);
-            fresh[rep] = !outcome.deduped;
+            results[reps[outcome.index as usize]] = Some(outcome.result);
         }
         // Fan each representative's result out to its later duplicates: an
         // all-distinct batch (the common case) pays zero clones.
@@ -392,12 +395,14 @@ impl Engine {
             .into_iter()
             .map(|r| r.expect("the stream yields every representative"))
             .collect();
-        let per_problem = per_problem_stats(jobs, &results, &fresh);
+        let dedup_hits = jobs.len() - reps.len();
+        self.stream_dedup_hits
+            .fetch_add(dedup_hits as u64, Ordering::Relaxed);
         BatchReport {
+            per_problem: per_problem_stats(jobs, &results, &reps, &group_of),
             results,
-            dedup_hits: fresh.iter().filter(|&&f| !f).count(),
+            dedup_hits,
             threads,
-            per_problem,
         }
     }
 }

@@ -24,8 +24,6 @@
 //!   the batch/stream/serve `catch_unwind` containment paths.
 //! * [`FaultPoint::SolveLatency`] — artificial per-tier latency, for
 //!   deadline and breaker testing.
-//! * [`FaultPoint::DedupPoison`] — a stream dedup-window entry is
-//!   corrupted after insertion, exercising the checksum-recovery path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -41,12 +39,10 @@ pub enum FaultPoint {
     SolvePanic,
     /// Artificial solver latency.
     SolveLatency,
-    /// Stream dedup-window entry corruption.
-    DedupPoison,
 }
 
 /// Number of distinct fault points.
-const POINTS: usize = 5;
+const POINTS: usize = 4;
 
 impl FaultPoint {
     const ALL: [FaultPoint; POINTS] = [
@@ -54,7 +50,6 @@ impl FaultPoint {
         FaultPoint::PersistWrite,
         FaultPoint::SolvePanic,
         FaultPoint::SolveLatency,
-        FaultPoint::DedupPoison,
     ];
 
     fn index(self) -> usize {
@@ -63,7 +58,6 @@ impl FaultPoint {
             FaultPoint::PersistWrite => 1,
             FaultPoint::SolvePanic => 2,
             FaultPoint::SolveLatency => 3,
-            FaultPoint::DedupPoison => 4,
         }
     }
 
@@ -74,7 +68,6 @@ impl FaultPoint {
             FaultPoint::PersistWrite => "persist_write",
             FaultPoint::SolvePanic => "solve_panic",
             FaultPoint::SolveLatency => "solve_latency",
-            FaultPoint::DedupPoison => "dedup_poison",
         }
     }
 
@@ -111,8 +104,6 @@ pub struct ChaosConfig {
     pub solve_latency_period: Option<u64>,
     /// The injected latency when `SolveLatency` fires.
     pub solve_latency: Duration,
-    /// Fire `DedupPoison` at rate `1/p`.
-    pub dedup_poison_period: Option<u64>,
 }
 
 impl ChaosConfig {
@@ -127,7 +118,6 @@ impl ChaosConfig {
             panic_at: None,
             solve_latency_period: None,
             solve_latency: Duration::from_millis(1),
-            dedup_poison_period: None,
         }
     }
 
@@ -144,7 +134,6 @@ impl ChaosConfig {
             panic_at: None,
             solve_latency_period: Some(5),
             solve_latency: Duration::from_millis(2),
-            dedup_poison_period: Some(3),
         }
     }
 }
@@ -161,7 +150,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// The armed fault injector: per-point dispatch counters plus per-point
 /// injected-fault counters (the ledger tests reconcile against observed
 /// typed errors). `Send + Sync`; one per engine, shared with the
-/// registry's synthesis cache and the stream dedup window.
+/// registry's synthesis cache and every prepared plan.
 pub struct ChaosState {
     config: ChaosConfig,
     /// How many times each point has been consulted.
@@ -196,7 +185,6 @@ impl ChaosState {
             FaultPoint::PersistWrite => self.config.persist_write_period,
             FaultPoint::SolvePanic => self.config.solve_panic_period,
             FaultPoint::SolveLatency => self.config.solve_latency_period,
-            FaultPoint::DedupPoison => self.config.dedup_poison_period,
         }
     }
 
@@ -327,7 +315,7 @@ mod tests {
     fn quiet_config_never_fires() {
         let s = ChaosState::new(ChaosConfig::quiet(5));
         for _ in 0..100 {
-            assert!(!s.should(FaultPoint::DedupPoison));
+            assert!(!s.should(FaultPoint::PersistRead));
             s.maybe_panic("tier");
         }
         assert_eq!(s.injected_total(), 0);

@@ -6,9 +6,9 @@
 //! each solver name a three-state circuit breaker — `Closed` (normal),
 //! `Open` (skip the tier entirely), `HalfOpen` (let one probe through) —
 //! with exponential-backoff cooldowns, plus per-tier timeout/fallback
-//! counters and the dedup-poison recovery counter. One `Arc<Health>` per
-//! engine, shared with every [`super::PreparedProblem`] it prepares and
-//! exported by `lcl-serve`'s `/metrics` and `/healthz`.
+//! counters. One `Arc<Health>` per engine, shared with every
+//! [`super::PreparedProblem`] it prepares and exported by `lcl-serve`'s
+//! `/metrics` and `/healthz`.
 //!
 //! The tier walk feeds every attempt through [`Health::record`]. Only
 //! *infrastructure* failures count against a breaker: budget trips,
@@ -19,7 +19,6 @@
 use super::SolveError;
 use lcl_trace::{TierAttempt, TierOutcome};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -140,7 +139,6 @@ pub struct BreakerSnapshot {
 pub struct Health {
     breakers: Mutex<HashMap<String, Breaker>>,
     tiers: Mutex<HashMap<String, TierCounters>>,
-    dedup_poison_recoveries: AtomicU64,
 }
 
 impl Health {
@@ -298,17 +296,6 @@ impl Health {
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
-    }
-
-    /// Counts a poisoned stream-dedup entry that was detected (checksum
-    /// mismatch) and transparently re-solved.
-    pub fn record_dedup_poison_recovery(&self) {
-        self.dedup_poison_recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Poisoned dedup entries detected and recovered so far.
-    pub fn dedup_poison_recoveries(&self) -> u64 {
-        self.dedup_poison_recoveries.load(Ordering::Relaxed)
     }
 }
 

@@ -312,7 +312,6 @@ pub struct EngineBuilder {
     cache_dir: Option<std::path::PathBuf>,
     dedup: bool,
     max_prepared_plans: Option<usize>,
-    stream_dedup_window: usize,
     chaos: Option<ChaosConfig>,
     atlas: Option<Arc<AtlasTable>>,
 }
@@ -436,22 +435,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Bounded dedup window for [`Engine::solve_stream`] (default: 0 =
-    /// off). A window of `n` keeps the last `n` distinct solved jobs
-    /// (plan-key × instance-key groups, the batch path's dedup identity)
-    /// in an LRU; a streamed job that matches a window entry is answered
-    /// from it instead of re-solved, flagged via
-    /// [`JobOutcome::deduped`] and counted by
-    /// [`SolveStream::dedup_hits`] / [`Engine::stream_dedup_hits`].
-    /// Solving is deterministic, so the window is observationally
-    /// transparent — but it holds up to `n` labellings, so the stream's
-    /// memory bound becomes `O(threads + window × nodes)`; the default
-    /// keeps the documented `O(threads)` bound.
-    pub fn stream_dedup_window(mut self, window: usize) -> EngineBuilder {
-        self.stream_dedup_window = window;
-        self
-    }
-
     /// Arms deterministic fault injection with the default battery for a
     /// seed (default: off — chaos is compiled in but inert). See
     /// [`ChaosConfig::from_seed`] for the battery and the `chaos` module
@@ -525,13 +508,12 @@ impl EngineBuilder {
             threads: self.threads,
             dedup: self.dedup,
             max_prepared_plans: self.max_prepared_plans,
-            stream_dedup_window: self.stream_dedup_window,
             plans: Mutex::new(HashMap::new()),
             plan_clock: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
             plans_resolved: AtomicU64::new(0),
             plans_evicted: AtomicU64::new(0),
-            stream_dedup_hits: Arc::new(AtomicU64::new(0)),
+            stream_dedup_hits: AtomicU64::new(0),
         }
     }
 }
@@ -584,7 +566,7 @@ pub struct Engine {
     /// every prepared plan this engine resolves.
     health: Arc<Health>,
     /// Armed fault injector (None = inert), shared with the registry's
-    /// synthesis cache, every prepared plan, and the stream dedup window.
+    /// synthesis cache and every prepared plan.
     chaos: Option<Arc<ChaosState>>,
     /// Census lookup table (None = no atlas): consulted once per plan
     /// resolution to seed classifications from the checked-in artifact.
@@ -596,7 +578,6 @@ pub struct Engine {
     threads: usize,
     dedup: bool,
     max_prepared_plans: Option<usize>,
-    stream_dedup_window: usize,
     /// Prepared-plan memo: canonical cache key → single-flight cell, the
     /// same shape as the registry's synthesis cache (one resolution per
     /// key, concurrent requests block on the cell, poisoned map locks
@@ -607,10 +588,8 @@ pub struct Engine {
     plan_hits: AtomicU64,
     plans_resolved: AtomicU64,
     plans_evicted: AtomicU64,
-    /// Cumulative stream dedup-window hits; `Arc`ed because stream
-    /// workers are detached `'static` threads that may outlive the
-    /// engine.
-    stream_dedup_hits: Arc<AtomicU64>,
+    /// Cumulative in-batch dedup hits across every slice call.
+    stream_dedup_hits: AtomicU64,
 }
 
 /// One prepared-plan memo entry: the single-flight cell and the stamp of
@@ -643,7 +622,6 @@ impl Engine {
             cache_dir: None,
             dedup: true,
             max_prepared_plans: None,
-            stream_dedup_window: 0,
             chaos: None,
         }
     }
@@ -654,7 +632,7 @@ impl Engine {
     }
 
     /// The engine's health ledger: per-solver circuit breakers, per-tier
-    /// timeout/fallback counters, dedup-poison recoveries.
+    /// timeout/fallback/breaker-skip counters.
     pub fn health(&self) -> &Arc<Health> {
         &self.health
     }
@@ -821,9 +799,13 @@ impl Engine {
         }
     }
 
-    /// Total [`Engine::solve_stream`] jobs (across every stream this
-    /// engine has run) answered from the bounded dedup window instead of
-    /// a fresh solve; see [`EngineBuilder::stream_dedup_window`].
+    /// Total jobs answered by in-batch dedup instead of a fresh solve,
+    /// summed over every slice call this engine has run
+    /// ([`Engine::solve_batch`], [`Engine::solve_jobs`],
+    /// [`Engine::solve_jobs_with`]): the running sum of
+    /// [`BatchReport::dedup_hits`]. The name predates the slice path
+    /// owning the engine's only dedup; [`Engine::solve_stream`] does no
+    /// dedup and never moves it.
     pub fn stream_dedup_hits(&self) -> u64 {
         self.stream_dedup_hits.load(Ordering::Relaxed)
     }

@@ -13,34 +13,22 @@
 //! not yet yielded. `tests/prepare.rs` pins the bound with a counting
 //! iterator over 10 000 jobs. The workers here are the only threads the
 //! engine spawns: the slice entry points ([`Engine::solve_batch`],
-//! [`Engine::solve_jobs`]) send their deduped jobs through this path and
-//! reorder the outcomes by index.
+//! [`Engine::solve_jobs`], [`Engine::solve_jobs_with`]) send their
+//! deduped jobs through this path and reorder the outcomes by index.
 //!
-//! Streaming trades the batch path's *unbounded* in-batch dedup for the
-//! memory bound — remembering every previously seen job is exactly what
-//! an unbounded workload cannot afford. The opt-in compromise is the
-//! *bounded* dedup window
-//! ([`EngineBuilder::stream_dedup_window`](crate::engine::EngineBuilder::stream_dedup_window)):
-//! an LRU over the last `n` distinct plan-key × instance-key groups, so
-//! repeat-heavy service traffic recovers most of the slice path's dedup
-//! savings in `O(window × nodes)` extra memory. Window answers are
-//! flagged per outcome ([`JobOutcome::deduped`]) and counted per stream
-//! ([`SolveStream::dedup_hits`]) and per engine
-//! ([`Engine::stream_dedup_hits`](crate::engine::Engine::stream_dedup_hits)).
-//! The shared caches still amortise across the stream either way:
-//! synthesis tables and prepared plans are resolved once per problem, not
-//! per job. Results arrive in *completion* order, tagged with the job's
-//! input index; a consumer that needs input order should use the slice
-//! entry points, which reorder by that index.
+//! The stream itself does no dedup: remembering previously seen jobs is
+//! exactly what an unbounded workload cannot afford. Jobs known up front
+//! belong on the slice entry points, whose in-batch dedup is exact. The
+//! shared caches still amortise across the stream: synthesis tables and
+//! prepared plans are resolved once per problem, not per job. Results
+//! arrive in *completion* order, tagged with the job's input index; a
+//! consumer that needs input order should use the slice entry points,
+//! which reorder by that index.
 
-use super::batch::{self, Job};
-use super::chaos::{ChaosState, FaultPoint};
-use super::health::Health;
-use super::registry::fnv1a64;
-use super::{Engine, Instance, Labelling, PreparedProblem, SolveError};
+use super::batch::Job;
+use super::{Engine, Labelling, SolveError};
 use lcl_sat::Budget;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -55,12 +43,6 @@ pub struct JobOutcome {
     pub problem: String,
     /// The solve result.
     pub result: Result<Labelling, SolveError>,
-    /// True iff the result was answered from the bounded stream dedup
-    /// window (see
-    /// [`EngineBuilder::stream_dedup_window`](crate::engine::EngineBuilder::stream_dedup_window))
-    /// instead of a fresh solve. Solving is deterministic, so a deduped
-    /// result is byte-identical to the fresh one.
-    pub deduped: bool,
 }
 
 /// The shared pull-end of a stream: the job iterator plus the running
@@ -70,116 +52,6 @@ pub struct JobOutcome {
 struct JobSource<I> {
     jobs: Option<I>,
     next_index: u64,
-}
-
-/// One remembered job group in the bounded stream dedup window.
-struct WindowEntry {
-    fingerprint: u64,
-    prepared: Arc<PreparedProblem>,
-    instance: Instance,
-    result: Result<Labelling, SolveError>,
-    /// FNV checksum of the labels at insertion time. Every lookup
-    /// re-verifies it, so a corrupted entry — bit rot, a buggy in-place
-    /// mutation, or an injected [`FaultPoint::DedupPoison`] — is detected
-    /// and transparently re-solved instead of served.
-    checksum: u64,
-    last_used: u64,
-}
-
-/// The integrity checksum of a cached result (errors carry no labels and
-/// checksum to the empty hash).
-fn labels_checksum(result: &Result<Labelling, SolveError>) -> u64 {
-    match result {
-        Ok(labelling) => fnv1a64(labelling.labels.iter().flat_map(|l| l.to_le_bytes())),
-        Err(_) => fnv1a64(std::iter::empty::<u8>()),
-    }
-}
-
-/// The bounded LRU over plan-key × instance-key groups behind
-/// [`EngineBuilder::stream_dedup_window`](crate::engine::EngineBuilder::stream_dedup_window).
-/// At most `cap` entries; a linear scan per lookup is fine at window
-/// sizes (the fingerprint comparison rejects non-matches in one branch,
-/// and candidates are verified against the actual job like the batch
-/// path, so a fingerprint collision costs a comparison, never a wrong
-/// share).
-struct DedupWindow {
-    cap: usize,
-    clock: u64,
-    entries: Vec<WindowEntry>,
-}
-
-impl DedupWindow {
-    /// The window answer for a job, bumping its LRU stamp on a hit.
-    /// Matching follows the batch dedup identity exactly: same prepared
-    /// *handle* (pointer identity — differently-configured engines'
-    /// key-equal handles never alias) and interchangeable instance.
-    ///
-    /// Every hit is integrity-checked against the entry's insertion-time
-    /// checksum: a poisoned entry is evicted, counted in
-    /// [`Health::dedup_poison_recoveries`], and reported as a miss, so
-    /// the job is transparently re-solved — corruption costs time, never
-    /// a wrong answer.
-    fn lookup(
-        &mut self,
-        fingerprint: u64,
-        job: &Job,
-        health: &Health,
-    ) -> Option<Result<Labelling, SolveError>> {
-        self.clock += 1;
-        let clock = self.clock;
-        let pos = self.entries.iter().position(|e| {
-            e.fingerprint == fingerprint
-                && Arc::ptr_eq(&e.prepared, &job.prepared)
-                && e.instance.same_input(&job.instance)
-        })?;
-        if labels_checksum(&self.entries[pos].result) != self.entries[pos].checksum {
-            self.entries.swap_remove(pos);
-            health.record_dedup_poison_recovery();
-            return None;
-        }
-        let e = &mut self.entries[pos];
-        e.last_used = clock;
-        Some(e.result.clone())
-    }
-
-    /// Remembers a freshly solved job, evicting the least-recently-used
-    /// entry when the window is full. A concurrent worker may have
-    /// inserted the same group while this one was solving; the duplicate
-    /// is harmless (identical deterministic results) and ages out.
-    ///
-    /// With chaos armed, [`FaultPoint::DedupPoison`] may corrupt the
-    /// entry *after* its checksum is taken — the injected fault the
-    /// lookup-time integrity check must catch.
-    fn insert(
-        &mut self,
-        fingerprint: u64,
-        job: &Job,
-        result: &Result<Labelling, SolveError>,
-        chaos: Option<&ChaosState>,
-    ) {
-        let mut result = result.clone();
-        let checksum = labels_checksum(&result);
-        if chaos.is_some_and(|chaos| chaos.should(FaultPoint::DedupPoison)) {
-            if let Some(first) = result.as_mut().ok().and_then(|l| l.labels.first_mut()) {
-                *first ^= 1;
-            }
-        }
-        if self.entries.len() >= self.cap {
-            let entries = &self.entries;
-            if let Some(oldest) = (0..entries.len()).min_by_key(|&i| entries[i].last_used) {
-                self.entries.swap_remove(oldest);
-            }
-        }
-        self.clock += 1;
-        self.entries.push(WindowEntry {
-            fingerprint,
-            prepared: Arc::clone(&job.prepared),
-            instance: job.instance.clone(),
-            result,
-            checksum,
-            last_used: self.clock,
-        });
-    }
 }
 
 /// The `problem` tag of the outcome reporting a panicking jobs iterator
@@ -193,7 +65,6 @@ pub struct SolveStream {
     rx: Option<mpsc::Receiver<JobOutcome>>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    dedup_hits: Arc<AtomicU64>,
 }
 
 impl SolveStream {
@@ -205,19 +76,9 @@ impl SolveStream {
     /// The guaranteed bound on jobs pulled from the input but not yet
     /// yielded to the consumer: one in-flight job per worker plus one
     /// buffered result slot per worker (`2 × threads`). This is what
-    /// keeps an arbitrarily long input in `O(threads)` memory (plus the
-    /// opt-in dedup window's `O(window × nodes)`, when configured).
+    /// keeps an arbitrarily long input in `O(threads)` memory.
     pub fn buffer_bound(&self) -> usize {
         2 * self.threads
-    }
-
-    /// Jobs of *this* stream answered from the bounded dedup window so
-    /// far (0 unless
-    /// [`EngineBuilder::stream_dedup_window`](crate::engine::EngineBuilder::stream_dedup_window)
-    /// is configured). Iterate the stream via `&mut` to read the counter
-    /// mid-drain or after exhaustion.
-    pub fn dedup_hits(&self) -> u64 {
-        self.dedup_hits.load(Ordering::Relaxed)
     }
 }
 
@@ -310,24 +171,12 @@ impl Engine {
         // Capacity `threads`: with one in-flight job per worker this caps
         // pulled-but-unyielded jobs at 2 × threads, the documented bound.
         let (tx, rx) = mpsc::sync_channel::<JobOutcome>(threads);
-        let stream_hits = Arc::new(AtomicU64::new(0));
         let shared = Arc::new(Workers {
             source: Mutex::new(JobSource {
                 jobs: Some(jobs),
                 next_index: 0,
             }),
-            window: (self.stream_dedup_window > 0).then(|| {
-                Mutex::new(DedupWindow {
-                    cap: self.stream_dedup_window,
-                    clock: 0,
-                    entries: Vec::new(),
-                })
-            }),
-            stream_hits: Arc::clone(&stream_hits),
-            engine_hits: Arc::clone(&self.stream_dedup_hits),
             budget: budget.clone(),
-            health: Arc::clone(&self.health),
-            chaos: self.chaos.clone(),
             tx,
             trace_id: lcl_trace::current_trace(),
         });
@@ -341,22 +190,16 @@ impl Engine {
             rx: Some(rx),
             workers,
             threads,
-            dedup_hits: stream_hits,
         }
     }
 }
 
-/// What a stream's workers share: the job source, the dedup window, the
-/// hit counters, the joint budget, and the sending end of the outcome
-/// channel (which disconnects once the last worker exits).
+/// What a stream's workers share: the job source, the joint budget, and
+/// the sending end of the outcome channel (which disconnects once the
+/// last worker exits).
 struct Workers<I> {
     source: Mutex<JobSource<I>>,
-    window: Option<Mutex<DedupWindow>>,
-    stream_hits: Arc<AtomicU64>,
-    engine_hits: Arc<AtomicU64>,
     budget: Budget,
-    health: Arc<Health>,
-    chaos: Option<Arc<ChaosState>>,
     tx: mpsc::SyncSender<JobOutcome>,
     /// The submitting thread's trace id, adopted by every worker.
     trace_id: u64,
@@ -368,16 +211,10 @@ impl<I: Iterator<Item = Job>> Workers<I> {
     fn run(&self) {
         lcl_trace::set_current_trace(self.trace_id);
         while let Some((index, job)) = self.pull() {
-            let (result, deduped) = self.solve(&job);
-            if deduped {
-                self.stream_hits.fetch_add(1, Ordering::Relaxed);
-                self.engine_hits.fetch_add(1, Ordering::Relaxed);
-            }
             let outcome = JobOutcome {
                 index,
                 problem: job.prepared.spec().name().to_string(),
-                result,
-                deduped,
+                result: self.solve(&job),
             };
             // A dropped consumer disconnects the channel: stop pulling
             // and wind down.
@@ -412,51 +249,20 @@ impl<I: Iterator<Item = Job>> Workers<I> {
                     index,
                     problem: JOBS_ITERATOR_PANICKED.to_string(),
                     result: Err(panicked(payload)),
-                    deduped: false,
                 });
                 None
             }
         }
     }
 
-    /// Solves one job through the dedup window (when one is configured):
-    /// a hit shares the remembered result; a miss — including a poisoned
-    /// entry the checksum caught — solves fresh, mapping a panicking
-    /// solver to a typed error, and is remembered. Returns the result and
-    /// whether it was a window hit.
-    fn solve(&self, job: &Job) -> (Result<Labelling, SolveError>, bool) {
-        // A per-job budget replaces the stream budget for this job and
-        // opts it out of the dedup window in both directions (no lookup,
-        // no insert): budgets are consumable state, so budgeted jobs are
-        // never interchangeable — see `Job::with_budget`.
-        let window = self
-            .window
-            .as_ref()
-            .filter(|_| job.budget().is_none())
-            .map(|window| (window, batch::job_fingerprint(&job.prepared, &job.instance)));
-        if let Some((window, fingerprint)) = window {
-            let mut span = lcl_trace::span(lcl_trace::SpanKind::Dedup, "dedup-lookup");
-            let hit = window
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .lookup(fingerprint, job, &self.health);
-            span.count(0, u64::from(hit.is_some()));
-            if let Some(hit) = hit {
-                return (hit, true);
-            }
-        }
+    /// Solves one job under its own budget, or the stream's when it
+    /// carries none, mapping a panicking solver to a typed error.
+    fn solve(&self, job: &Job) -> Result<Labelling, SolveError> {
         let budget = job.budget().unwrap_or(&self.budget);
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        catch_unwind(AssertUnwindSafe(|| {
             job.prepared.solve_with(&job.instance, budget)
         }))
-        .unwrap_or_else(|payload| Err(panicked(payload)));
-        if let Some((window, fingerprint)) = window {
-            window
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(fingerprint, job, &result, self.chaos.as_deref());
-        }
-        (result, false)
+        .unwrap_or_else(|payload| Err(panicked(payload)))
     }
 }
 

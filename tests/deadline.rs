@@ -4,10 +4,11 @@
 //! trip never happened.
 
 use lcl_grids::engine::{
-    Budget, CancelToken, Engine, Instance, ProblemSpec, SolveError, BREAKER_BASE_COOLDOWN,
+    Budget, CancelToken, Engine, Instance, Job, ProblemSpec, SolveError, BREAKER_BASE_COOLDOWN,
     BREAKER_THRESHOLD,
 };
 use lcl_grids::local::IdAssignment;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A DSL (lcl-lang) 3-colouring: no closed-form tier covers it, so every
@@ -117,13 +118,18 @@ fn cancellation_aborts_immediately_with_no_fallback() {
 fn batch_budget_is_joint_and_reports_typed_rows() {
     let engine = Engine::builder().threads(1).max_synthesis_k(1).build();
     let prepared = engine.prepare(&sat_heavy_spec()).expect("prepare");
-    let instances: Vec<Instance> = (0..4)
-        .map(|seed| Instance::square(16, &IdAssignment::Shuffled { seed }))
+    let jobs: Vec<Job> = (0..4)
+        .map(|seed| {
+            Job::new(
+                Arc::clone(&prepared),
+                Instance::square(16, &IdAssignment::Shuffled { seed }),
+            )
+        })
         .collect();
 
     // A zero deadline is shared by the whole batch: every row trips,
     // none panics, and the report stays fully typed.
-    let report = engine.solve_batch_with(&prepared, &instances, &Budget::deadline(Duration::ZERO));
+    let report = engine.solve_jobs_with(&jobs, &Budget::deadline(Duration::ZERO));
     assert_eq!(report.results().len(), 4);
     for result in report.results() {
         match result {
@@ -137,7 +143,7 @@ fn batch_budget_is_joint_and_reports_typed_rows() {
     let prepared = engine.prepare(&easy).expect("prepare");
     let inst = Instance::square(6, &IdAssignment::Sequential);
     assert!(engine
-        .solve_batch_with(&prepared, &[inst], &Budget::unlimited())
+        .solve_jobs_with(&[Job::new(prepared, inst)], &Budget::unlimited())
         .results()[0]
         .is_ok());
 }

@@ -371,63 +371,3 @@ fn max_prepared_plans_evicts_lru() {
     let inst = Instance::square(4, &IdAssignment::Sequential);
     assert!(handle_a.solve(&inst).is_ok());
 }
-
-/// The bounded stream dedup window answers repeat jobs from the LRU —
-/// byte-identically to fresh solves — and reports hits per outcome, per
-/// stream, and per engine; a fresh engine without the window reports
-/// none.
-#[test]
-fn stream_dedup_window_shares_repeat_jobs() {
-    let engine = Engine::builder().threads(2).stream_dedup_window(8).build();
-    let prepared = engine.prepare(&ProblemSpec::independent_set()).unwrap();
-    // 40 jobs over 4 distinct (seed) groups: at least 36 must hit the
-    // window once each group has been solved (racing workers may solve a
-    // group twice before it lands in the window, so exact counts are not
-    // guaranteed — the floor is jobs - 2×groups with 2 workers).
-    let jobs = (0..40u64).map({
-        let prepared = Arc::clone(&prepared);
-        move |i| {
-            Job::new(
-                Arc::clone(&prepared),
-                Instance::square(4, &IdAssignment::Shuffled { seed: i % 4 }),
-            )
-        }
-    });
-    let mut stream = engine.solve_stream(jobs);
-    let mut fresh: Vec<Option<Vec<u16>>> = vec![None; 4];
-    let mut outcomes = 0usize;
-    let mut hits = 0u64;
-    for outcome in &mut stream {
-        outcomes += 1;
-        let labels = outcome.result.unwrap().labels;
-        let group = usize::try_from(outcome.index % 4).unwrap();
-        match &fresh[group] {
-            Some(reference) => assert_eq!(
-                reference, &labels,
-                "window answers are byte-identical to fresh solves"
-            ),
-            None => fresh[group] = Some(labels),
-        }
-        if outcome.deduped {
-            hits += 1;
-        }
-    }
-    assert_eq!(outcomes, 40);
-    assert!(hits >= 40 - 2 * 4, "repeat groups hit the window: {hits}");
-    assert_eq!(stream.dedup_hits(), hits);
-    assert_eq!(engine.stream_dedup_hits(), hits);
-
-    // Default engines keep the documented O(threads) bound: no window.
-    let plain = Engine::builder().threads(2).build();
-    let prepared = plain.prepare(&ProblemSpec::independent_set()).unwrap();
-    let jobs = (0..10u64).map(move |_| {
-        Job::new(
-            Arc::clone(&prepared),
-            Instance::square(4, &IdAssignment::Shuffled { seed: 1 }),
-        )
-    });
-    let mut stream = plain.solve_stream(jobs);
-    assert!(stream.all(|o| !o.deduped));
-    assert_eq!(stream.dedup_hits(), 0);
-    assert_eq!(plain.stream_dedup_hits(), 0);
-}
