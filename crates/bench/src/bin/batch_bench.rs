@@ -2,12 +2,10 @@
 //!
 //! Measures, on one machine and with no external crates:
 //!
-//! 1. **Synthesis cache**: wall time of a cold solve (SAT synthesis runs)
-//!    vs a warm solve from the persistent disk cache, verified through
-//!    the registry counters and the `synth_origin` solver-report detail.
-//! 2. **Batch throughput**: sequential (`threads(1)`) vs parallel
+//! 1. **Batch throughput**: sequential (`threads(1)`) vs parallel
 //!    (`threads(0)` = all cores) `solve_batch` on a warm registry, plus
 //!    the in-batch labelling dedup on a batch with repeated instances.
+//! 2. **Mixed-topology batch**: 3-d tori through the same engine.
 //! 3. **Mixed-problem streaming**: two prepared problems interleaved
 //!    through `solve_stream`, drained in bounded memory.
 //!
@@ -91,46 +89,15 @@ fn ms(from: Instant) -> f64 {
 fn main() {
     let cfg = parse_args();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let cache_dir = std::env::temp_dir().join(format!("lcl-batch-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
-    // ── 1. Synthesis cache: cold (SAT) vs warm (disk) ──────────────────
+    // Warm the synthesis memo once, outside every timed section.
     let probe = Instance::square(cfg.side, &IdAssignment::Shuffled { seed: 1 });
-
-    let cold_registry = Arc::new(Registry::with_cache_dir(&cache_dir));
-    let started = Instant::now();
-    let cold_labelling = prepared(&engine(&cold_registry, 1, true))
+    let warm_registry = Arc::new(Registry::new());
+    prepared(&engine(&warm_registry, 1, true))
         .solve(&probe)
-        .expect("cold solve");
-    let cold_ms = ms(started);
-    let cold_origin = cold_labelling
-        .report
-        .detail("synth_origin")
-        .unwrap_or("?")
-        .to_string();
-    assert_eq!(cold_registry.synth_stats().synthesised, 1);
+        .expect("warm-up solve");
+    assert_eq!(warm_registry.synth_stats().synthesised, 1);
 
-    // A fresh registry simulates a restart: only the disk cache survives.
-    let warm_registry = Arc::new(Registry::with_cache_dir(&cache_dir));
-    let started = Instant::now();
-    let warm_labelling = prepared(&engine(&warm_registry, 1, true))
-        .solve(&probe)
-        .expect("warm solve");
-    let warm_ms = ms(started);
-    let warm_origin = warm_labelling
-        .report
-        .detail("synth_origin")
-        .unwrap_or("?")
-        .to_string();
-    let warm_stats = warm_registry.synth_stats();
-    assert_eq!(
-        warm_stats.synthesised, 0,
-        "a warm disk cache must eliminate the synthesis SAT call"
-    );
-    assert_eq!(warm_stats.disk_hits, 1);
-    assert_eq!(cold_labelling.labels, warm_labelling.labels);
-
-    // ── 2. Batch throughput on a warm registry ─────────────────────────
+    // ── 1. Batch throughput on a warm registry ─────────────────────────
     let distinct = (cfg.batch / 2).max(1);
     let batch: Vec<Instance> = (0..cfg.batch)
         .map(|i| {
@@ -165,7 +132,7 @@ fn main() {
     assert_eq!(deduped.solved(), cfg.batch);
     assert_eq!(deduped.dedup_hits(), cfg.batch - distinct);
 
-    // ── 3. Mixed-topology batch: TorusD through the same engine ────────
+    // ── 2. Mixed-topology batch: TorusD through the same engine ────────
     // Edge 2d-colouring on 3-dimensional tori via the registered
     // Theorem 21 solver, with even (solvable), odd (exactly unsolvable),
     // and duplicate entries — keeps the d-dimensional dispatch path and
@@ -199,7 +166,7 @@ fn main() {
         "duplicate TorusD instances must dedup"
     );
 
-    // ── 4. Mixed-problem stream: two prepared problems interleaved ─────
+    // ── 3. Mixed-problem stream: two prepared problems interleaved ─────
     // The {1,3,4}-orientation (synthesised log* normal form, warm) and
     // the power-MIS substrate share one engine and one stream; the input
     // is a lazy iterator, drained through the bounded channel in
@@ -242,8 +209,6 @@ fn main() {
     assert_eq!(stream_solved + stream_failed, stream_jobs);
     assert_eq!(stream_failed, 0, "both stream problems solve when warm");
 
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
     let threads = parallel.threads();
     let throughput = |total_ms: f64| cfg.batch as f64 / (total_ms / 1e3);
     let json = format!(
@@ -255,14 +220,6 @@ fn main() {
   "batch_size": {batch},
   "distinct_instances": {distinct},
   "torus_side": {side},
-  "synthesis_cache": {{
-    "cold_ms": {cold_ms:.3},
-    "warm_ms": {warm_ms:.3},
-    "cold_origin": "{cold_origin}",
-    "warm_origin": "{warm_origin}",
-    "warm_sat_calls": {warm_sat},
-    "warm_disk_hits": {warm_disk}
-  }},
   "ddim_batch": {{
     "torus": "3-d, side {ddim_side}",
     "total_ms": {ddim_ms:.3},
@@ -303,12 +260,6 @@ fn main() {
         ddim_solved = ddim_report.solved(),
         ddim_failed = ddim_report.failed(),
         ddim_dedup = ddim_report.dedup_hits(),
-        cold_ms = cold_ms,
-        warm_ms = warm_ms,
-        cold_origin = cold_origin,
-        warm_origin = warm_origin,
-        warm_sat = warm_stats.synthesised,
-        warm_disk = warm_stats.disk_hits,
         stream_jobs = stream_jobs,
         stream_threads = stream_threads,
         stream_ms = stream_ms,

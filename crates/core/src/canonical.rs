@@ -38,7 +38,6 @@
 //! table.
 
 use crate::lcl::{Block, BlockLcl, Label};
-use crate::synthesis::persist::fnv1a64;
 use std::sync::OnceLock;
 
 /// Largest alphabet the canonicaliser supports: `3⁴ = 81` block indices
@@ -307,6 +306,19 @@ fn shared_group(alphabet: u16) -> &'static SymmetryGroup {
     static GROUPS: [OnceLock<SymmetryGroup>; MAX_ALPHABET as usize] =
         [const { OnceLock::new() }; MAX_ALPHABET as usize];
     GROUPS[usize::from(alphabet) - 1].get_or_init(|| SymmetryGroup::new(alphabet))
+}
+
+/// A stable 64-bit FNV-1a hash: the content address behind census names,
+/// the engine's synthesis and plan cache keys, and batch dedup keys
+/// (`DefaultHasher` has no cross-release stability guarantee, which
+/// would silently change the checked-in census artifact).
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// The content hash of a block table: FNV-1a over the alphabet followed

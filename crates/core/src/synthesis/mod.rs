@@ -18,7 +18,6 @@
 //! distinguishing `Θ(log* n)` from `Θ(n)` is undecidable (Theorem 3); the
 //! synthesiser is the paper's "one-sided oracle".
 
-pub mod persist;
 mod synth;
 pub mod tiles;
 

@@ -90,20 +90,18 @@ impl SynthesisConfig {
 /// The table is stored *interned*: the realizable tiles in their sorted
 /// canonical enumeration order (shared with the process-wide tile memo)
 /// plus a parallel label array. Lookups are binary searches by reference
-/// — no tile is ever cloned or hashed on the hot path, and the flat
-/// arrays (de)serialise directly for the persistent synthesis cache (see
-/// [`super::persist`]).
+/// — no tile is ever cloned or hashed on the hot path.
 #[derive(Clone, Debug)]
 pub struct SynthesizedAlgorithm {
-    pub(in crate::synthesis) problem_name: String,
-    pub(in crate::synthesis) k: usize,
-    pub(in crate::synthesis) shape: TileShape,
-    pub(in crate::synthesis) row_off: usize,
-    pub(in crate::synthesis) col_off: usize,
+    problem_name: String,
+    k: usize,
+    shape: TileShape,
+    row_off: usize,
+    col_off: usize,
     /// Realizable tiles, strictly sorted (the canonical enumeration order).
-    pub(in crate::synthesis) tiles: Arc<[Tile]>,
+    tiles: Arc<[Tile]>,
     /// `labels[i]` is `A′(tiles[i])`.
-    pub(in crate::synthesis) labels: Vec<Label>,
+    labels: Vec<Label>,
 }
 
 /// The result of running a synthesised algorithm.

@@ -16,8 +16,9 @@
 //! port without racing the bind.
 //!
 //! `--chaos-seed` arms the engine's deterministic fault-injection
-//! battery (DESIGN.md §10): disk-cache read and write errors, solver
-//! panics, and artificial latency, all scheduled purely by the seed. Off by default; never arm it in production.
+//! battery (DESIGN.md §10): solver panics and artificial latency, both
+//! scheduled purely by the seed. Off by default; never arm it in
+//! production.
 //!
 //! `--trace-sample-rate` / `--slow-ms` enable span tracing (DESIGN.md
 //! §12): sampled and slow requests are captured and served back at

@@ -457,7 +457,6 @@ impl Metrics {
                         "synth_stats",
                         Json::obj(vec![
                             ("memory_hits", Json::count(synth_stats.memory_hits)),
-                            ("disk_hits", Json::count(synth_stats.disk_hits)),
                             ("synthesised", Json::count(synth_stats.synthesised)),
                         ]),
                     ),
@@ -620,12 +619,6 @@ impl Metrics {
             "lcl_engine_synth_memory_hits_total",
             "Synthesis memory-cache hits.",
             synth_stats.memory_hits,
-        );
-        counter(
-            &mut out,
-            "lcl_engine_synth_disk_hits_total",
-            "Synthesis disk-cache hits.",
-            synth_stats.disk_hits,
         );
         counter(
             &mut out,

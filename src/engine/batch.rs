@@ -29,8 +29,8 @@
 //! count, and identical with dedup on or off. The tests in
 //! `tests/batch.rs` pin this down byte-for-byte.
 
-use super::registry::fnv1a64;
 use super::{Engine, Instance, Labelling, PreparedProblem, SolveError};
+use lcl_core::canonical::fnv1a64;
 use lcl_sat::Budget;
 use std::collections::HashMap;
 use std::fmt;

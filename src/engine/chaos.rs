@@ -1,40 +1,32 @@
 //! Deterministic, seed-driven fault injection.
 //!
-//! The robustness claims elsewhere in this crate — "a corrupt cache file
-//! silently falls back to resynthesis", "a panicking solver neither takes
-//! down the process nor poisons the shared caches" — are only claims
-//! until a fault actually fires. This module makes faults first-class:
-//! a [`ChaosState`] is compiled into every engine but is inert unless
-//! armed (via [`crate::engine::EngineBuilder::chaos_seed`] or an explicit
-//! [`ChaosConfig`]), and when armed it injects faults on a schedule that
-//! is a pure function of `(seed, fault point, per-point counter)` — two
-//! runs with the same seed and the same call sequence inject the *same*
-//! faults at the *same* points, so chaos tests are reproducible and every
-//! injected fault can be reconciled against an observed typed error or a
-//! recovery counter.
+//! The robustness claims elsewhere in this crate — "a panicking solver
+//! neither takes down the process nor poisons the shared caches", "a
+//! slow tier trips its deadline and the walk falls back" — are only
+//! claims until a fault actually fires. This module makes faults
+//! first-class: a [`ChaosState`] is compiled into every engine but is
+//! inert unless armed (via
+//! [`crate::engine::EngineBuilder::chaos_config`]), and when armed it
+//! injects faults on a schedule that is a pure function of `(seed, fault
+//! point, per-point counter)` — two runs with the same seed and the same
+//! call sequence inject the *same* faults at the *same* points, so chaos
+//! tests are reproducible and every injected fault can be reconciled
+//! against an observed typed error or a recovery counter.
 //!
 //! Fault points:
 //!
-//! * [`FaultPoint::PersistRead`] — a synthesis-cache disk read "fails"
-//!   (the load is skipped, exactly as an I/O error degrades: cache miss,
-//!   resynthesis).
-//! * [`FaultPoint::PersistWrite`] — a synthesis-cache disk write "fails"
-//!   (the save is skipped; future processes pay time, not correctness).
 //! * [`FaultPoint::SolvePanic`] — the solver dispatch panics, exercising
 //!   the batch/stream/serve `catch_unwind` containment paths.
 //! * [`FaultPoint::SolveLatency`] — artificial per-tier latency, for
 //!   deadline and breaker testing.
 
+use lcl_core::canonical::fnv1a64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The instrumented fault points, in counter-array order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Synthesis-cache disk read.
-    PersistRead,
-    /// Synthesis-cache disk write.
-    PersistWrite,
     /// Solver dispatch panic.
     SolvePanic,
     /// Artificial solver latency.
@@ -42,30 +34,21 @@ pub enum FaultPoint {
 }
 
 /// Number of distinct fault points.
-const POINTS: usize = 4;
+const POINTS: usize = 2;
 
 impl FaultPoint {
-    const ALL: [FaultPoint; POINTS] = [
-        FaultPoint::PersistRead,
-        FaultPoint::PersistWrite,
-        FaultPoint::SolvePanic,
-        FaultPoint::SolveLatency,
-    ];
+    const ALL: [FaultPoint; POINTS] = [FaultPoint::SolvePanic, FaultPoint::SolveLatency];
 
     fn index(self) -> usize {
         match self {
-            FaultPoint::PersistRead => 0,
-            FaultPoint::PersistWrite => 1,
-            FaultPoint::SolvePanic => 2,
-            FaultPoint::SolveLatency => 3,
+            FaultPoint::SolvePanic => 0,
+            FaultPoint::SolveLatency => 1,
         }
     }
 
     /// Stable counter name, used in `/metrics` and test assertions.
     pub fn name(self) -> &'static str {
         match self {
-            FaultPoint::PersistRead => "persist_read",
-            FaultPoint::PersistWrite => "persist_write",
             FaultPoint::SolvePanic => "solve_panic",
             FaultPoint::SolveLatency => "solve_latency",
         }
@@ -75,11 +58,7 @@ impl FaultPoint {
     /// independently of each other.
     fn salt(self) -> u64 {
         // FNV-1a over the point name: stable across builds.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self.name().bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        h
+        fnv1a64(self.name().bytes())
     }
 }
 
@@ -92,10 +71,6 @@ impl FaultPoint {
 pub struct ChaosConfig {
     /// Seed of the fault schedule.
     pub seed: u64,
-    /// Fire `PersistRead` at rate `1/p`.
-    pub persist_read_period: Option<u64>,
-    /// Fire `PersistWrite` at rate `1/p`.
-    pub persist_write_period: Option<u64>,
     /// Fire `SolvePanic` at rate `1/p`.
     pub solve_panic_period: Option<u64>,
     /// Fire `SolvePanic` exactly once, at this 1-based solver dispatch.
@@ -112,8 +87,6 @@ impl ChaosConfig {
     pub fn quiet(seed: u64) -> ChaosConfig {
         ChaosConfig {
             seed,
-            persist_read_period: None,
-            persist_write_period: None,
             solve_panic_period: None,
             panic_at: None,
             solve_latency_period: None,
@@ -121,15 +94,12 @@ impl ChaosConfig {
         }
     }
 
-    /// The default battery armed by `--chaos-seed` and
-    /// [`crate::engine::EngineBuilder::chaos_seed`]: every point enabled
-    /// at a cadence a soak test meets within seconds, mild enough that a
-    /// healthy server stays live throughout.
+    /// The default battery armed by `lcl-serve --chaos-seed`: every point
+    /// enabled at a cadence a soak test meets within seconds, mild enough
+    /// that a healthy server stays live throughout.
     pub fn from_seed(seed: u64) -> ChaosConfig {
         ChaosConfig {
             seed,
-            persist_read_period: Some(3),
-            persist_write_period: Some(3),
             solve_panic_period: Some(7),
             panic_at: None,
             solve_latency_period: Some(5),
@@ -149,8 +119,8 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// The armed fault injector: per-point dispatch counters plus per-point
 /// injected-fault counters (the ledger tests reconcile against observed
-/// typed errors). `Send + Sync`; one per engine, shared with the
-/// registry's synthesis cache and every prepared plan.
+/// typed errors). `Send + Sync`; one per engine, shared with every
+/// prepared plan.
 pub struct ChaosState {
     config: ChaosConfig,
     /// How many times each point has been consulted.
@@ -181,8 +151,6 @@ impl ChaosState {
 
     fn period(&self, point: FaultPoint) -> Option<u64> {
         match point {
-            FaultPoint::PersistRead => self.config.persist_read_period,
-            FaultPoint::PersistWrite => self.config.persist_write_period,
             FaultPoint::SolvePanic => self.config.solve_panic_period,
             FaultPoint::SolveLatency => self.config.solve_latency_period,
         }
@@ -263,19 +231,19 @@ mod tests {
         let a = ChaosState::from_seed(42);
         let b = ChaosState::from_seed(42);
         let fire_a: Vec<bool> = (0..200)
-            .map(|_| a.should(FaultPoint::PersistRead))
+            .map(|_| a.should(FaultPoint::SolveLatency))
             .collect();
         let fire_b: Vec<bool> = (0..200)
-            .map(|_| b.should(FaultPoint::PersistRead))
+            .map(|_| b.should(FaultPoint::SolveLatency))
             .collect();
         assert_eq!(fire_a, fire_b);
         assert_eq!(
-            a.injected(FaultPoint::PersistRead),
-            b.injected(FaultPoint::PersistRead)
+            a.injected(FaultPoint::SolveLatency),
+            b.injected(FaultPoint::SolveLatency)
         );
-        // The cadence is real: rate 1/3 over 200 consultations fires
+        // The cadence is real: rate 1/5 over 200 consultations fires
         // dozens of times, not zero and not always.
-        let fired = a.injected(FaultPoint::PersistRead);
+        let fired = a.injected(FaultPoint::SolveLatency);
         assert!(fired > 20 && fired < 180, "fired {fired}/200");
     }
 
@@ -290,13 +258,16 @@ mod tests {
 
     #[test]
     fn points_fire_independently() {
-        let s = ChaosState::from_seed(7);
-        let reads: Vec<bool> = (0..64).map(|_| s.should(FaultPoint::PersistRead)).collect();
-        let writes: Vec<bool> = (0..64)
-            .map(|_| s.should(FaultPoint::PersistWrite))
+        let mut config = ChaosConfig::quiet(7);
+        config.solve_panic_period = Some(3);
+        config.solve_latency_period = Some(3);
+        let s = ChaosState::new(config);
+        let panics: Vec<bool> = (0..64).map(|_| s.should(FaultPoint::SolvePanic)).collect();
+        let delays: Vec<bool> = (0..64)
+            .map(|_| s.should(FaultPoint::SolveLatency))
             .collect();
         // Same period, same seed, same ordinals — but different salts.
-        assert_ne!(reads, writes);
+        assert_ne!(panics, delays);
     }
 
     #[test]
@@ -315,7 +286,7 @@ mod tests {
     fn quiet_config_never_fires() {
         let s = ChaosState::new(ChaosConfig::quiet(5));
         for _ in 0..100 {
-            assert!(!s.should(FaultPoint::PersistRead));
+            assert!(!s.should(FaultPoint::SolveLatency));
             s.maybe_panic("tier");
         }
         assert_eq!(s.injected_total(), 0);

@@ -81,7 +81,7 @@ pub use instance::Instance;
 pub use lcl_sat::{Budget, BudgetExceeded, CancelToken};
 pub use lcl_trace::{Cost, SolverCost, TierAttempt, TierOutcome};
 pub use prepared::PreparedProblem;
-pub use registry::{PlanOptions, Registry, SynthOrigin, SynthStats};
+pub use registry::{PlanOptions, Registry, SynthStats};
 pub use spec::{ProblemSpec, Topology};
 pub use stream::{JobOutcome, SolveStream, JOBS_ITERATOR_PANICKED};
 
@@ -259,22 +259,14 @@ pub trait Solve: Send + Sync {
     /// What instances this solver accepts.
     fn capabilities(&self) -> Capabilities;
 
-    /// Solves one instance, never panicking on bad input.
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError>;
-
-    /// Solves one instance under a cooperative [`Budget`]. The default
-    /// checks the budget once and runs the unbudgeted solve — the right
-    /// contract for the closed-form constructions, which finish in
-    /// microseconds. Solvers with unbounded search inside (the SAT
-    /// existence encoders, synthesis) override this to check at
+    /// Solves one instance under a cooperative [`Budget`], never
+    /// panicking on bad input. The engine checks the budget once before
+    /// every dispatch, so the closed-form constructions, which finish in
+    /// microseconds, ignore it. Solvers with unbounded search inside (the
+    /// SAT existence encoders, synthesis) check it at
     /// propagation/fixpoint granularity and surface trips as
     /// [`SolveError::DeadlineExceeded`] / [`SolveError::Cancelled`].
-    fn solve_budgeted(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
-        budget
-            .check()
-            .map_err(|e| budget_error(self.name(), budget, e))?;
-        self.solve(inst)
-    }
+    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError>;
 }
 
 /// Maps a tripped [`Budget`] to the engine's typed error surface: a
@@ -309,7 +301,6 @@ pub struct EngineBuilder {
     debug_validation: bool,
     registry: Option<Arc<Registry>>,
     threads: usize,
-    cache_dir: Option<std::path::PathBuf>,
     dedup: bool,
     max_prepared_plans: Option<usize>,
     chaos: Option<ChaosConfig>,
@@ -391,21 +382,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Persist the synthesis cache under this directory so synthesised
-    /// `A′ ∘ S_k` tables survive process restarts (default: no
-    /// persistence).
-    ///
-    /// Applies to the engine's registry — including a shared one passed
-    /// via [`EngineBuilder::registry`], where `build()` reconfigures the
-    /// shared cache and the most recently built engine wins. When several
-    /// engines share a registry, prefer configuring the directory once at
-    /// registry construction ([`Registry::with_cache_dir`]) and omitting
-    /// this knob.
-    pub fn cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> EngineBuilder {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
     /// In-batch labelling dedup (default: on): jobs with the same
     /// prepared problem (by cache key), canonical topology, dimensions,
     /// and identifier assignment are solved once per batch and the
@@ -435,21 +411,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Arms deterministic fault injection with the default battery for a
-    /// seed (default: off — chaos is compiled in but inert). See
-    /// [`ChaosConfig::from_seed`] for the battery and the `chaos` module
-    /// for the
-    /// fault points; every injected fault is counted, so tests and the
+    /// Arms deterministic fault injection (default: off — chaos is
+    /// compiled in but inert): [`ChaosConfig::from_seed`] for the default
+    /// battery, or [`ChaosConfig::quiet`] plus the one period under test
+    /// for a targeted single fault. See the `chaos` module for the fault
+    /// points; every injected fault is counted, so tests and the
     /// `lcl-serve` soak job can reconcile injected faults against
     /// observed typed errors.
-    pub fn chaos_seed(mut self, seed: u64) -> EngineBuilder {
-        self.chaos = Some(ChaosConfig::from_seed(seed));
-        self
-    }
-
-    /// Arms deterministic fault injection with an explicit config —
-    /// the targeted-single-fault knob ([`ChaosConfig::quiet`] plus the
-    /// one period under test).
     pub fn chaos_config(mut self, config: ChaosConfig) -> EngineBuilder {
         self.chaos = Some(config);
         self
@@ -470,32 +438,14 @@ impl EngineBuilder {
         Ok(self)
     }
 
-    /// Arms the engine with an already-loaded census table (the
-    /// share-one-table-across-engines form of [`EngineBuilder::atlas`]).
-    pub fn atlas_table(mut self, table: Arc<AtlasTable>) -> EngineBuilder {
-        self.atlas = Some(table);
-        self
-    }
-
     /// Builds the engine. Infallible: the engine carries no problem of
     /// its own — plans resolve per problem in [`Engine::prepare`], where
     /// misconfiguration surfaces as a typed [`SolveError`].
     pub fn build(self) -> Engine {
-        let registry = self.registry.unwrap_or_default();
-        if let Some(dir) = self.cache_dir {
-            registry.set_cache_dir(Some(dir));
-        }
-        let chaos = self.chaos.map(|config| Arc::new(ChaosState::new(config)));
-        if chaos.is_some() {
-            // Like the cache directory, the injector is registry state
-            // (the persist fault points live in the synthesis cache);
-            // with a shared registry the most recently armed engine wins.
-            registry.set_chaos(chaos.clone());
-        }
         Engine {
-            registry,
+            registry: self.registry.unwrap_or_default(),
             health: Arc::new(Health::new()),
-            chaos,
+            chaos: self.chaos.map(|config| Arc::new(ChaosState::new(config))),
             atlas: self.atlas,
             opts: PlanOptions {
                 profile: self.profile,
@@ -565,8 +515,8 @@ pub struct Engine {
     /// Per-solver circuit breakers and robustness counters, shared with
     /// every prepared plan this engine resolves.
     health: Arc<Health>,
-    /// Armed fault injector (None = inert), shared with the registry's
-    /// synthesis cache and every prepared plan.
+    /// Armed fault injector (None = inert), shared with every prepared
+    /// plan.
     chaos: Option<Arc<ChaosState>>,
     /// Census lookup table (None = no atlas): consulted once per plan
     /// resolution to seed classifications from the checked-in artifact.
@@ -619,7 +569,6 @@ impl Engine {
             debug_validation: false,
             registry: None,
             threads: 1,
-            cache_dir: None,
             dedup: true,
             max_prepared_plans: None,
             chaos: None,
@@ -638,7 +587,7 @@ impl Engine {
     }
 
     /// The armed fault injector, if any (see
-    /// [`EngineBuilder::chaos_seed`]).
+    /// [`EngineBuilder::chaos_config`]).
     pub fn chaos(&self) -> Option<&Arc<ChaosState>> {
         self.chaos.as_ref()
     }

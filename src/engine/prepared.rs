@@ -442,8 +442,8 @@ impl PreparedProblem {
         })
     }
 
-    /// Dispatches one tier: the chaos hooks, the budgeted solve,
-    /// validation, and the round budget. The walk runs the opt-in
+    /// Dispatches one tier: the chaos hooks, the per-tier budget check,
+    /// the solve, validation, and the round budget. The walk runs the opt-in
     /// round-ledger cross-check on the labelling it is about to return.
     fn run_tier(
         &self,
@@ -459,7 +459,10 @@ impl PreparedProblem {
             // paths contain it via catch_unwind, which is the point.
             chaos.maybe_panic(solver.name());
         }
-        let mut labelling = solver.solve_budgeted(inst, budget)?;
+        budget
+            .check()
+            .map_err(|e| budget_error(solver.name(), budget, e))?;
+        let mut labelling = solver.solve(inst, budget)?;
         if self.validate {
             let _vspan = lcl_trace::span(lcl_trace::SpanKind::Validation, "validate");
             self.spec
@@ -629,7 +632,7 @@ impl PreparedProblem {
         }
         match self
             .registry
-            .memoised_synthesis_budgeted(&self.spec, self.opts.max_synthesis_k, budget)
+            .memoised_synthesis(&self.spec, self.opts.max_synthesis_k, budget)
             .map_err(|e| budget_error(registry::SYNTHESIS_SOLVER_NAME, budget, e))?
         {
             Some(_) => Ok(GridClass::LogStar),

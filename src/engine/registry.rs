@@ -12,7 +12,6 @@
 //! Corner coordination and the d-dimensional algorithms are first-class
 //! registered solvers, not side doors.
 
-use super::chaos::{ChaosState, FaultPoint};
 use super::error::SolveError;
 use super::instance::Instance;
 use super::spec::{ProblemSpec, Topology};
@@ -24,16 +23,16 @@ use lcl_algorithms::ddim;
 use lcl_algorithms::edge_colouring::EdgeColouring;
 use lcl_algorithms::four_colouring::FourColouring;
 use lcl_algorithms::{AlgoError, Profile};
+use lcl_core::canonical::fnv1a64;
 use lcl_core::problems::XSet;
 use lcl_core::synthesis::{
-    persist, synthesize_auto, synthesize_auto_budgeted, SynthRunError, SynthesizedAlgorithm,
+    synthesize_auto, synthesize_auto_budgeted, SynthRunError, SynthesizedAlgorithm,
 };
 use lcl_core::{existence, GridProblem};
 use lcl_grid::{Metric, TorusD};
 use lcl_local::{GridInstance, Rounds};
 use lcl_sat::{Budget, BudgetExceeded};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -58,72 +57,30 @@ impl Default for PlanOptions {
     }
 }
 
-/// Where a cached synthesis outcome originally came from, as recorded in
-/// the in-memory memo and surfaced in solver reports (`synth_origin`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SynthOrigin {
-    /// Loaded from the persistent on-disk cache — no SAT call ran in this
-    /// process.
-    Disk,
-    /// Produced by running the SAT synthesis in this process.
-    Sat,
-}
-
-impl SynthOrigin {
-    fn as_str(self) -> &'static str {
-        match self {
-            SynthOrigin::Disk => "disk",
-            SynthOrigin::Sat => "sat",
-        }
-    }
-
-    /// Trace-counter code for the synthesis span's `origin` slot:
-    /// `0` = in-process memo, `1` = disk cache, `2` = fresh SAT run.
-    fn trace_code(self) -> u64 {
-        match self {
-            SynthOrigin::Disk => 1,
-            SynthOrigin::Sat => 2,
-        }
-    }
-}
-
-/// Marks a synthesis-cache answer on the current trace: `origin` uses
-/// the [`SynthOrigin::trace_code`] encoding (0 = memo hit).
-fn mark_synth_cache(origin: u64) {
-    lcl_trace::mark(
-        lcl_trace::SpanKind::Synthesis,
-        "synthesis-cache",
-        [0, origin, 0, 0],
-    );
-}
-
 /// Aggregate counters of the synthesis cache: how often a request was
-/// answered from the in-process memo, the persistent disk cache, or by
-/// actually running the SAT synthesis. Benchmarks and tests use these to
-/// prove that a warm cache eliminates the SAT call.
+/// answered from the in-process memo and how often it actually ran the
+/// SAT synthesis. `memory_hits + synthesised` equals the number of
+/// requests. Benchmarks and tests use these to prove that a warm memo
+/// eliminates the SAT call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SynthStats {
-    /// Requests answered from the in-process memo.
+    /// Requests answered from the in-process memo (including requests
+    /// that waited on a concurrent fill of the same key).
     pub memory_hits: u64,
-    /// Outcomes loaded from the persistent disk cache.
-    pub disk_hits: u64,
     /// SAT synthesis runs actually performed.
     pub synthesised: u64,
 }
 
-/// A memoised synthesis outcome plus its provenance.
-#[derive(Clone)]
-pub(crate) struct CachedSynth {
-    pub(crate) outcome: Option<SynthesizedAlgorithm>,
-    pub(crate) origin: SynthOrigin,
-}
+/// One memo entry: filled once with the outcome, vacant until then.
+type SynthCell = OnceLock<Option<SynthesizedAlgorithm>>;
 
-/// Memoised synthesis results, shared by every engine built from the same
-/// registry: synthesising `A′` is expensive (it is a SAT call over all
-/// realizable tiles), while running it is cheap, so batch workloads must
-/// pay the cost once.
+/// Memoised synthesis outcomes, shared by every engine built from the
+/// same registry: synthesising `A′` is expensive (it is a SAT call over
+/// all realizable tiles), while running it is cheap, so batch workloads
+/// must pay the cost once. Negative "no normal form up to k" verdicts
+/// are memoised too.
 ///
-/// Three design points matter for the batch path:
+/// Two design points matter for the batch path:
 ///
 /// * **Single-flight**: each key maps to an `Arc<OnceLock>`, so when a
 ///   parallel batch goes cold, exactly one worker synthesises while the
@@ -132,21 +89,10 @@ pub(crate) struct CachedSynth {
 ///   every lock recovers from poisoning via [`PoisonError::into_inner`];
 ///   a panic inside a synthesis closure leaves the `OnceLock` vacant, so
 ///   later solves simply retry instead of dying on a poisoned cache.
-/// * **Persistence**: with a cache directory configured, outcomes
-///   (including negative "no normal form up to k" verdicts, the costliest
-///   to recompute) are content-addressed on disk and survive restarts;
-///   corrupt, mismatched, or previous-version files silently fall back to
-///   resynthesis.
 #[derive(Default)]
 pub(crate) struct SynthCache {
-    map: Mutex<HashMap<String, Arc<OnceLock<CachedSynth>>>>,
-    dir: Mutex<Option<PathBuf>>,
-    /// Armed fault injector, if any (see [`super::chaos`]): persist
-    /// read/write faults are injected here, at the same call sites a real
-    /// I/O error would surface.
-    chaos: Mutex<Option<Arc<ChaosState>>>,
+    map: Mutex<HashMap<String, Arc<SynthCell>>>,
     memory_hits: AtomicU64,
-    disk_hits: AtomicU64,
     synthesised: AtomicU64,
 }
 
@@ -161,19 +107,13 @@ fn synthesisable(problem: &GridProblem) -> bool {
     !matches!(problem, GridProblem::Block(b) if b.alphabet() > 8)
 }
 
-pub(crate) use persist::fnv1a64;
-
 /// The canonical cache key of a problem: the name alone is not enough,
 /// because two different custom [`GridProblem::Block`] LCLs may be
 /// registered under the same free-form name in a shared registry.
 ///
 /// Keys carry a trailing topology tag (`+t2`: synthesis runs on the 2-d
-/// block normal form) so that mixed-topology engines sharing one cache
-/// directory can never alias outcomes across topologies. Adding the tag
-/// changed the key schema, so the on-disk format version was bumped in
-/// lockstep (`LCLSYN01` → `LCLSYN02`, see `lcl_core::synthesis::persist`):
-/// pre-tag cache files fail the version check and are silently
-/// resynthesised over.
+/// block normal form) so that mixed-topology engines sharing one
+/// registry can never alias outcomes across topologies.
 fn cache_key(problem: &GridProblem, name: &str, max_k: usize) -> String {
     match problem {
         // Block problems are content-addressed by their tabulated allowed
@@ -190,184 +130,70 @@ fn cache_key(problem: &GridProblem, name: &str, max_k: usize) -> String {
     }
 }
 
-/// The on-disk file for a cache key: content-addressed by a stable hash of
-/// the key (the key itself is re-verified inside the file on load, so a
-/// file-name collision degrades to a cache miss, never a wrong table).
-fn synth_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("synth-{:016x}.bin", fnv1a64(key.bytes())))
-}
-
 impl SynthCache {
-    /// Loads a cached outcome from disk, honouring an armed injector:
-    /// a chaos read fault degrades exactly like a real I/O error — cache
-    /// miss, resynthesis.
-    fn load_from_disk(&self, dir: &Path, key: &str) -> Option<Option<SynthesizedAlgorithm>> {
-        if let Some(chaos) = self.chaos() {
-            if chaos.should(FaultPoint::PersistRead) {
-                return None;
-            }
-        }
-        persist::load_outcome(&synth_path(dir, key), key)
-    }
-
-    /// Saves an outcome to disk (best-effort: an unwritable cache dir —
-    /// or a chaos write fault — costs future time, not correctness).
-    fn save_to_disk(&self, dir: &Path, key: &str, outcome: &Option<SynthesizedAlgorithm>) {
-        if let Some(chaos) = self.chaos() {
-            if chaos.should(FaultPoint::PersistWrite) {
-                return;
-            }
-        }
-        let _ = persist::save_outcome(&synth_path(dir, key), key, outcome);
-    }
-
-    /// Returns the cached synthesis outcome for `spec` at `max_k`,
-    /// loading it from disk or synthesising on the first request.
-    fn get_or_synthesize(&self, problem: &GridProblem, name: &str, max_k: usize) -> CachedSynth {
-        let key = cache_key(problem, name, max_k);
-        let cell = Arc::clone(
-            self.lock_map()
-                .entry(key.clone())
-                .or_insert_with(|| Arc::new(OnceLock::new())),
-        );
-        if let Some(hit) = cell.get() {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            mark_synth_cache(0);
-            return hit.clone();
-        }
-        // Single-flight initialisation: concurrent requests for the same
-        // key block here while one of them fills the cell; requests for
-        // *different* keys proceed independently (the map lock above is
-        // only held for the entry lookup, never across a SAT call).
-        let mut initialised_here = false;
-        let hit = cell.get_or_init(|| {
-            initialised_here = true;
-            let dir = self.cache_dir();
-            if let Some(dir) = &dir {
-                if let Some(outcome) = self.load_from_disk(dir, &key) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return CachedSynth {
-                        outcome,
-                        origin: SynthOrigin::Disk,
-                    };
-                }
-            }
-            let outcome = synthesize_auto(problem, max_k);
-            self.synthesised.fetch_add(1, Ordering::Relaxed);
-            if let Some(dir) = &dir {
-                self.save_to_disk(dir, &key, &outcome);
-            }
-            CachedSynth {
-                outcome,
-                origin: SynthOrigin::Sat,
-            }
-        });
-        if !initialised_here {
-            // We blocked while another thread filled the cell: served from
-            // memory, as far as this request is concerned. Keeps
-            // memory_hits + disk_hits + synthesised == total requests.
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        mark_synth_cache(if initialised_here {
-            hit.origin.trace_code()
-        } else {
-            0
-        });
-        hit.clone()
-    }
-
-    /// The budget-aware variant of [`SynthCache::get_or_synthesize`].
+    /// Returns the memoised synthesis outcome for `problem` at `max_k`,
+    /// synthesising it on the first request.
     ///
-    /// The crucial difference is *where* the computation runs: a budgeted
-    /// synthesis is computed **outside** the `OnceLock`, and the cell is
-    /// filled only when the computation *completes*. A budget trip
-    /// mid-synthesis therefore returns `Err` without caching anything —
-    /// the next request (with a roomier budget) retries from an intact
-    /// cache, instead of reading a spurious "no normal form up to k"
-    /// verdict that was really just an interrupted search.
-    fn get_or_synthesize_budgeted(
+    /// *Where* a miss computes depends on the budget. Unlimited, the
+    /// synthesis runs inside the cell: concurrent cold requests for one
+    /// key run one SAT synthesis and the others block until it is filled
+    /// (requests for *different* keys proceed independently; the map lock
+    /// is only held for the entry lookup). Limited, the synthesis runs
+    /// **outside** the cell, which is filled only when it completes: a
+    /// budget trip returns `Err` and memoises nothing, so an interrupted
+    /// search never reads back as a "no normal form up to k" verdict.
+    fn get_or_synthesize(
         &self,
         problem: &GridProblem,
         name: &str,
         max_k: usize,
         budget: &Budget,
-    ) -> Result<CachedSynth, BudgetExceeded> {
-        if budget.is_unlimited() {
-            return Ok(self.get_or_synthesize(problem, name, max_k));
-        }
-        let key = cache_key(problem, name, max_k);
+    ) -> Result<Option<SynthesizedAlgorithm>, BudgetExceeded> {
         let cell = Arc::clone(
             self.lock_map()
-                .entry(key.clone())
+                .entry(cache_key(problem, name, max_k))
                 .or_insert_with(|| Arc::new(OnceLock::new())),
         );
-        if let Some(hit) = cell.get() {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            mark_synth_cache(0);
-            return Ok(hit.clone());
-        }
-        budget.check()?;
-        let dir = self.cache_dir();
-        let computed = 'computed: {
-            if let Some(dir) = &dir {
-                if let Some(outcome) = self.load_from_disk(dir, &key) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    break 'computed CachedSynth {
-                        outcome,
-                        origin: SynthOrigin::Disk,
-                    };
-                }
-            }
-            let outcome = synthesize_auto_budgeted(problem, max_k, budget)?;
-            self.synthesised.fetch_add(1, Ordering::Relaxed);
-            if let Some(dir) = &dir {
-                self.save_to_disk(dir, &key, &outcome);
-            }
-            CachedSynth {
-                outcome,
-                origin: SynthOrigin::Sat,
+        let mut ran_sat = false;
+        let outcome = match cell.get() {
+            Some(hit) => hit,
+            None if budget.is_unlimited() => cell.get_or_init(|| {
+                ran_sat = true;
+                synthesize_auto(problem, max_k)
+            }),
+            None => {
+                let computed = synthesize_auto_budgeted(problem, max_k, budget)?;
+                ran_sat = true;
+                // If a concurrent request filled the cell first, keep its
+                // (equal) outcome.
+                cell.get_or_init(|| computed)
             }
         };
-        // Fill the cell with the *completed* outcome. If a concurrent
-        // unlimited request beat us to it, keep its value (the outcomes
-        // are equal; budgeted callers trade the single-flight guarantee
-        // for non-poisoning).
-        mark_synth_cache(computed.origin.trace_code());
-        Ok(cell.get_or_init(|| computed).clone())
+        // memory_hits + synthesised == total requests.
+        let counter = if ran_sat {
+            &self.synthesised
+        } else {
+            &self.memory_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        // Trace mark origin codes: 0 = memo hit, 2 = fresh SAT run.
+        lcl_trace::mark(
+            lcl_trace::SpanKind::Synthesis,
+            "synthesis-cache",
+            [0, if ran_sat { 2 } else { 0 }, 0, 0],
+        );
+        Ok(outcome.clone())
     }
 
-    fn lock_map(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<OnceLock<CachedSynth>>>> {
+    fn lock_map(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<SynthCell>>> {
         // A panicking solver thread must not poison the cache for the rest
         // of the batch (or the process): recover the guard and continue.
         self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn cache_dir(&self) -> Option<PathBuf> {
-        self.dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn set_cache_dir(&self, dir: Option<PathBuf>) {
-        *self.dir.lock().unwrap_or_else(PoisonError::into_inner) = dir;
-    }
-
-    fn chaos(&self) -> Option<Arc<ChaosState>> {
-        self.chaos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn set_chaos(&self, chaos: Option<Arc<ChaosState>>) {
-        *self.chaos.lock().unwrap_or_else(PoisonError::into_inner) = chaos;
-    }
-
     fn stats(&self) -> SynthStats {
         SynthStats {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
             synthesised: self.synthesised.load(Ordering::Relaxed),
         }
     }
@@ -395,34 +221,8 @@ impl Registry {
         Registry::default()
     }
 
-    /// A registry whose synthesis cache is persisted under `dir`:
-    /// synthesis outcomes are content-addressed there and survive process
-    /// restarts. The directory is created on first write; corrupt or
-    /// foreign files in it are ignored (and resynthesised over).
-    pub fn with_cache_dir(dir: impl Into<PathBuf>) -> Registry {
-        let registry = Registry::default();
-        registry.set_cache_dir(Some(dir.into()));
-        registry
-    }
-
-    /// Points the synthesis cache at a persistence directory (`None`
-    /// disables persistence). Affects future lookups only; the in-memory
-    /// memo is kept.
-    pub fn set_cache_dir(&self, dir: Option<PathBuf>) {
-        self.synth_cache.set_cache_dir(dir);
-    }
-
-    /// Arms (or disarms, with `None`) the fault injector on this
-    /// registry's synthesis-cache persistence paths. Set by
-    /// [`crate::engine::EngineBuilder::chaos_seed`]; like the cache
-    /// directory, it is registry state, so engines sharing a registry
-    /// share the injector.
-    pub(crate) fn set_chaos(&self, chaos: Option<Arc<ChaosState>>) {
-        self.synth_cache.set_chaos(chaos);
-    }
-
-    /// Aggregate synthesis-cache counters (memo hits, disk hits, SAT
-    /// synthesis runs) since this registry was created.
+    /// Aggregate synthesis-cache counters (memo hits, SAT synthesis
+    /// runs) since this registry was created.
     pub fn synth_stats(&self) -> SynthStats {
         self.synth_cache.stats()
     }
@@ -554,8 +354,8 @@ impl Registry {
     }
 
     /// The canonical synthesis-cache key of a (torus block) problem at
-    /// the given synthesis budget — the exact string the in-memory memo
-    /// and the on-disk `LCLSYN02` cache are addressed by. Block problems
+    /// the given synthesis budget — the exact string the synthesis memo
+    /// is addressed by. Block problems
     /// are content-addressed from their canonical sorted block table, so
     /// two compilations of the same `lcl-lang` source (or a compiled
     /// problem and an identically-named hand-built table with the same
@@ -585,9 +385,9 @@ impl Registry {
     /// Memoised synthesis for a spec (the adapter [`Engine::classify`]
     /// and [`SynthesisSolver`] share), budget-aware: a
     /// budget trip returns `Err` *without* memoising anything (see
-    /// [`SynthCache::get_or_synthesize_budgeted`]), so an interrupted
+    /// [`SynthCache::get_or_synthesize`]), so an interrupted
     /// search can never masquerade as a negative classification verdict.
-    pub(crate) fn memoised_synthesis_budgeted(
+    pub(crate) fn memoised_synthesis(
         &self,
         spec: &ProblemSpec,
         max_k: usize,
@@ -599,10 +399,8 @@ impl Registry {
         if !synthesisable(problem) {
             return Ok(None);
         }
-        Ok(self
-            .synth_cache
-            .get_or_synthesize_budgeted(problem, spec.name(), max_k, budget)?
-            .outcome)
+        self.synth_cache
+            .get_or_synthesize(problem, spec.name(), max_k, budget)
     }
 }
 
@@ -652,7 +450,7 @@ impl Solve for ConstantSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
         let mut rounds = Rounds::new();
         rounds.charge("constant-output", 0);
         Ok(Labelling {
@@ -696,7 +494,7 @@ impl Solve for BallCarvingSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
         let inst = expect_torus2(inst, self.name())?;
         let run = self
             .algo
@@ -733,7 +531,7 @@ impl Solve for CutAndColourSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
         let inst = expect_torus2(inst, self.name())?;
         let run = self
             .algo
@@ -775,28 +573,13 @@ impl Solve for SynthesisSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
-        let cached = self
-            .cache
-            .get_or_synthesize(&self.grid_problem, &self.problem, self.max_k);
-        self.run_cached(inst, cached)
-    }
-
-    fn solve_budgeted(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
-        let cached = self
-            .cache
-            .get_or_synthesize_budgeted(&self.grid_problem, &self.problem, self.max_k, budget)
-            .map_err(|e| budget_error(self.name(), budget, e))?;
-        self.run_cached(inst, cached)
-    }
-}
-
-impl SynthesisSolver {
-    /// Runs a (possibly just memoised) synthesis outcome on one instance.
-    fn run_cached(&self, inst: &Instance, cached: CachedSynth) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
         let inst = expect_torus2(inst, self.name())?;
-        let origin = cached.origin;
-        let algo = cached.outcome.ok_or_else(|| SolveError::SynthesisFailed {
+        let outcome = self
+            .cache
+            .get_or_synthesize(&self.grid_problem, &self.problem, self.max_k, budget)
+            .map_err(|e| budget_error(self.name(), budget, e))?;
+        let algo = outcome.ok_or_else(|| SolveError::SynthesisFailed {
             problem: self.problem.clone(),
             max_k: self.max_k,
         })?;
@@ -814,8 +597,7 @@ impl SynthesisSolver {
         let report = SolveReport::new(&self.problem, self.name(), run.rounds)
             .with_detail("k", algo.k())
             .with_detail("window", algo.shape())
-            .with_detail("table_len", algo.table_len())
-            .with_detail("synth_origin", origin.as_str());
+            .with_detail("table_len", algo.table_len());
         Ok(Labelling {
             labels: run.labels,
             report,
@@ -847,7 +629,7 @@ impl Solve for DdimEdgeSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
         let torus = torus_d_of(inst, self.name())?;
         let d = torus.dim();
         if usize::from(self.k) != 2 * d {
@@ -910,7 +692,7 @@ impl Solve for MisPowerSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
         let inst = expect_torus2(inst, self.name())?;
         let torus = inst.torus();
         let run = lcl_symmetry::mis_torus_power(&torus, self.metric, self.k, inst.ids());
@@ -946,7 +728,7 @@ impl Solve for GreedyMisDSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
         let torus = torus_d_of(inst, self.name())?;
         let marked = ddim::greedy_mis(&torus, self.metric, self.k);
         let labels = marked.iter().map(|&m| u16::from(m)).collect();
@@ -987,7 +769,7 @@ impl Solve for CornerSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
         let grid: &BoundaryGrid = inst.as_boundary().ok_or_else(|| SolveError::SolverFailed {
             solver: self.name().to_string(),
             detail: format!(
@@ -1039,11 +821,7 @@ impl Solve for DdimPairwiseSatSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
-        self.solve_budgeted(inst, &Budget::unlimited())
-    }
-
-    fn solve_budgeted(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
         let torus = torus_d_of(inst, self.name())?;
         let labels =
             existence::solve_pairwise_d_budgeted(&torus, self.alphabet, &self.pairs, budget)
@@ -1087,11 +865,7 @@ impl Solve for SatExistenceSolver {
         }
     }
 
-    fn solve(&self, inst: &Instance) -> Result<Labelling, SolveError> {
-        self.solve_budgeted(inst, &Budget::unlimited())
-    }
-
-    fn solve_budgeted(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
+    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
         let inst = expect_torus2(inst, self.name())?;
         let torus = inst.torus();
         let labels = existence::solve_budgeted(&self.grid_problem, &torus, self.seed, budget)

@@ -1,23 +1,14 @@
 //! Integration tests for the batch-solving performance subsystem:
 //! parallel dispatch determinism, in-batch labelling dedup (namespaced
-//! per prepared problem), and the persistent synthesis cache (round-trip
-//! and corruption recovery) — on single-topology, mixed-topology, and
-//! mixed-problem batches alike.
+//! per prepared problem), and the shared synthesis memo — on
+//! single-topology, mixed-topology, and mixed-problem batches alike.
 
 use lcl_grids::core::problems::XSet;
 use lcl_grids::engine::{
     Engine, Instance, Job, PreparedProblem, ProblemSpec, Registry, SolveError,
 };
 use lcl_grids::local::IdAssignment;
-use std::path::PathBuf;
 use std::sync::Arc;
-
-/// A fresh, unique scratch directory for one test.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lcl-batch-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A mixed batch for vertex 2-colouring: even tori are solvable, odd tori
 /// are exactly unsolvable, and several entries are duplicates.
@@ -339,72 +330,33 @@ fn zero_threads_means_all_cores() {
     assert_eq!(report.failed(), 3, "the three odd tori are unsolvable");
 }
 
-/// A synthesis outcome written by one registry is loaded — not re-solved —
-/// by a fresh registry pointed at the same cache directory, and the
-/// labelling is identical.
+/// The synthesis memo stays warm across a mixed-topology batch: the 2-d
+/// instances share one (topology-tagged) synthesis verdict while the
+/// d ≥ 3 instances come back as typed per-instance errors — edge
+/// 4-colouring has no 3-dimensional solver — and a second engine on the
+/// same registry reproduces the batch byte-for-byte without a SAT call.
 #[test]
-fn disk_cache_round_trip_eliminates_the_sat_call() {
-    let dir = scratch_dir("roundtrip");
-    let spec = ProblemSpec::orientation(XSet::from_degrees(&[1, 3, 4]));
-    let inst = Instance::square(10, &IdAssignment::Shuffled { seed: 7 });
-
-    let cold_registry = Arc::new(Registry::new());
-    let cold = Engine::builder()
-        .max_synthesis_k(1)
-        .registry(Arc::clone(&cold_registry))
-        .cache_dir(&dir)
-        .build();
-    let first = cold.solve(&spec, &inst).unwrap();
-    assert_eq!(first.report.solver, "synthesised-tiles");
-    assert_eq!(first.report.detail("synth_origin"), Some("sat"));
-    assert_eq!(cold_registry.synth_stats().synthesised, 1);
-
-    // A fresh registry simulates a process restart: only the disk cache
-    // survives.
-    let warm_registry = Arc::new(Registry::new());
-    let warm = Engine::builder()
-        .max_synthesis_k(1)
-        .registry(Arc::clone(&warm_registry))
-        .cache_dir(&dir)
-        .build();
-    let second = warm.solve(&spec, &inst).unwrap();
-    let stats = warm_registry.synth_stats();
-    assert_eq!(stats.synthesised, 0, "warm cache must skip the SAT call");
-    assert_eq!(stats.disk_hits, 1);
-    assert_eq!(second.report.detail("synth_origin"), Some("disk"));
-    assert_eq!(first.labels, second.labels);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The persistent cache stays warm across a mixed-topology batch: the
-/// 2-d instances share one persisted (topology-tagged) synthesis verdict
-/// while the d ≥ 3 instances come back as typed per-instance errors —
-/// edge 4-colouring has no 3-dimensional solver — and a process restart
-/// reproduces the batch byte-for-byte from disk.
-#[test]
-fn disk_cache_survives_mixed_topology_batches() {
-    let dir = scratch_dir("mixed-topo");
+fn synthesis_memo_survives_mixed_topology_batches() {
     let spec = ProblemSpec::edge_colouring(4);
-    let build = |registry: &Arc<Registry>| {
+    let registry = Arc::new(Registry::new());
+    let build = || {
         Engine::builder()
             .max_synthesis_k(1)
-            .registry(Arc::clone(registry))
-            .cache_dir(&dir)
+            .registry(Arc::clone(&registry))
             .threads(2)
             .build()
     };
     let batch = mixed_topology_batch();
 
-    let cold_registry = Arc::new(Registry::new());
-    let cold_engine = build(&cold_registry);
+    let cold_engine = build();
     let cold_prepared = cold_engine.prepare(&spec).unwrap();
     let cold = cold_engine.solve_batch(&cold_prepared, &batch);
     assert_eq!(cold.solved(), 4, "the four 2-d entries solve");
     assert_eq!(cold.failed(), 3, "the three 3-d entries are uncovered");
     // Edge 4-colouring is global: one negative synthesis verdict total,
-    // shared by every 2-d instance in the batch and persisted; solving
-    // then falls through to the (CDCL-free) parity construction.
-    assert_eq!(cold_registry.synth_stats().synthesised, 1);
+    // shared by every 2-d instance in the batch; solving then falls
+    // through to the (CDCL-free) parity construction.
+    assert_eq!(registry.synth_stats().synthesised, 1);
     let results = cold.results();
     assert_eq!(
         results[0].as_ref().unwrap().report.solver,
@@ -415,87 +367,19 @@ fn disk_cache_survives_mixed_topology_batches() {
         Err(SolveError::UnsupportedTopology { .. })
     ));
 
-    let warm_registry = Arc::new(Registry::new());
-    let warm_engine = build(&warm_registry);
+    let warm_engine = build();
     let warm_prepared = warm_engine.prepare(&spec).unwrap();
     let warm = warm_engine.solve_batch(&warm_prepared, &batch);
     assert_eq!(
         format!("{:?}", cold.results()),
         format!("{:?}", warm.results()),
-        "restart changed the batch output"
+        "a warm memo changed the batch output"
     );
-    let stats = warm_registry.synth_stats();
-    assert_eq!(stats.synthesised, 0, "warm cache must skip the SAT call");
-    assert_eq!(stats.disk_hits, 1, "negative verdict loaded from disk");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Negative verdicts ("no normal form up to k") persist too — they are
-/// the most expensive outcome to recompute.
-#[test]
-fn negative_synthesis_outcome_persists() {
-    let dir = scratch_dir("negative");
-    let spec = ProblemSpec::vertex_colouring(3); // global: synthesis fails
-    let inst = Instance::square(6, &IdAssignment::Sequential);
-    let build = |registry: &Arc<Registry>| {
-        Engine::builder()
-            .max_synthesis_k(1)
-            .registry(Arc::clone(registry))
-            .cache_dir(&dir)
-            .build()
-    };
-
-    let cold_registry = Arc::new(Registry::new());
-    build(&cold_registry).solve(&spec, &inst).unwrap();
-    assert_eq!(cold_registry.synth_stats().synthesised, 1);
-
-    let warm_registry = Arc::new(Registry::new());
-    let labelling = build(&warm_registry).solve(&spec, &inst).unwrap();
-    assert_eq!(labelling.report.solver, "sat-existence");
-    let stats = warm_registry.synth_stats();
-    assert_eq!(stats.synthesised, 0, "cached negative verdict was ignored");
-    assert_eq!(stats.disk_hits, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Corrupt cache files are silently discarded and resynthesised; the
-/// labelling stays correct. (Files from the previous on-disk format
-/// version fail the same magic/checksum gate — see
-/// `lcl_core::synthesis::persist` — so a version bump degrades to a cold
-/// cache, never a wrong table.)
-#[test]
-fn corrupt_cache_file_triggers_resynthesis() {
-    let dir = scratch_dir("corrupt");
-    let spec = ProblemSpec::orientation(XSet::from_degrees(&[1, 3, 4]));
-    let inst = Instance::square(10, &IdAssignment::Shuffled { seed: 7 });
-    let build = |registry: &Arc<Registry>| {
-        Engine::builder()
-            .max_synthesis_k(1)
-            .registry(Arc::clone(registry))
-            .cache_dir(&dir)
-            .build()
-    };
-
-    let cold_registry = Arc::new(Registry::new());
-    let first = build(&cold_registry).solve(&spec, &inst).unwrap();
-
-    // Vandalise every cache file.
-    let mut clobbered = 0;
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        std::fs::write(&path, b"not a synthesis table").unwrap();
-        clobbered += 1;
-    }
-    assert!(clobbered > 0, "the cold engine must have written a file");
-
-    let recovering_registry = Arc::new(Registry::new());
-    let second = build(&recovering_registry).solve(&spec, &inst).unwrap();
-    let stats = recovering_registry.synth_stats();
-    assert_eq!(stats.disk_hits, 0, "corrupt file must not count as a hit");
-    assert_eq!(stats.synthesised, 1, "resynthesised from scratch");
-    assert_eq!(second.report.detail("synth_origin"), Some("sat"));
-    assert_eq!(first.labels, second.labels);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        registry.synth_stats().synthesised,
+        1,
+        "warm memo must skip the SAT call"
+    );
 }
 
 /// An unsolvable duplicate shares its typed error across the batch, and

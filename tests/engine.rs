@@ -8,10 +8,11 @@ use lcl_grids::core::classify::GridClass;
 use lcl_grids::core::lcl::block_at;
 use lcl_grids::core::problems::XSet;
 use lcl_grids::engine::{
-    decode_forest, Engine, Instance, ProblemSpec, Registry, SolveError, Topology,
+    decode_forest, Budget, Engine, Instance, PreparedProblem, ProblemSpec, Registry, SolveError,
+    SynthStats, Topology,
 };
 use lcl_grids::local::IdAssignment;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn engine_with(registry: &Arc<Registry>) -> Engine {
     Engine::builder()
@@ -314,6 +315,60 @@ fn synthesis_cache_distinguishes_same_named_blocks() {
         2,
         "same-named blocks resolve to distinct prepared plans"
     );
+}
+
+/// The synthesis memo's contract: a budget trip memoises nothing, and
+/// concurrent cold requests for one key run one SAT synthesis — every
+/// request is either that synthesis or a memo hit.
+#[test]
+fn synthesis_memo_is_single_flight_and_never_memoises_a_trip() {
+    let spec = ProblemSpec::orientation(XSet::from_degrees(&[1, 3, 4]));
+    let engine = Engine::builder().max_synthesis_k(1).build();
+    let prepared = engine.prepare(&spec).unwrap();
+
+    // (a) A step quota that trips mid-synthesis: typed, and nothing is
+    // memoised or counted.
+    let err = prepared
+        .classify_with(&Budget::steps(1))
+        .expect_err("one step cannot finish a synthesis");
+    assert!(
+        matches!(err, SolveError::DeadlineExceeded { .. }),
+        "{err:?}"
+    );
+    assert_eq!(engine.registry().cached_syntheses(), 0);
+    assert_eq!(engine.registry().synth_stats().synthesised, 0);
+
+    // (b) Four threads solve distinct instances through one handle at
+    // once: one of them synthesises, the other three read the memo.
+    let four_cold_solves = |prepared: &PreparedProblem| {
+        let start = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for seed in 0..4 {
+                let start = &start;
+                scope.spawn(move || {
+                    let inst = Instance::square(12, &IdAssignment::Shuffled { seed });
+                    start.wait();
+                    let labelling = prepared.solve(&inst).unwrap();
+                    assert_eq!(labelling.report.solver, "synthesised-tiles");
+                });
+            }
+        });
+    };
+    let one_synthesis = SynthStats {
+        memory_hits: 3,
+        synthesised: 1,
+    };
+    four_cold_solves(&prepared);
+    assert_eq!(engine.registry().synth_stats(), one_synthesis);
+    assert_eq!(engine.registry().cached_syntheses(), 1);
+    // The k = 1 synthesis takes well under a millisecond, so one round
+    // rarely overlaps the four fills; fresh registries give it more
+    // chances.
+    for _ in 0..15 {
+        let engine = Engine::builder().max_synthesis_k(1).build();
+        four_cold_solves(&engine.prepare(&spec).unwrap());
+        assert_eq!(engine.registry().synth_stats(), one_synthesis);
+    }
 }
 
 /// The round ledger of a log* solver stays flat across instance sizes —
