@@ -18,12 +18,12 @@ use lcl_grid::{Metric, PosD, TorusD};
 pub fn greedy_mis(torus: &TorusD, metric: Metric, k: usize) -> Vec<bool> {
     let n = torus.node_count();
     let mut marked = vec![false; n];
+    let offsets = torus.ball_offsets(metric, k);
     for v in 0..n {
         let p = torus.pos(v);
-        let blocked = torus
-            .ball(metric, &p, k)
-            .into_iter()
-            .any(|q| marked[torus.index(&q)]);
+        let blocked = offsets
+            .iter()
+            .any(|delta| marked[torus.offset_index(&p, delta)]);
         if !blocked {
             marked[v] = true;
         }

@@ -16,9 +16,9 @@
 
 use crate::{AlgoError, Profile};
 use lcl_core::problems::edge_label_encode;
-use lcl_grid::{CycleGraph, Metric, Pos, Torus2};
+use lcl_grid::{CycleGraph, Metric, Pos, Power2, Torus2};
 use lcl_local::{GridInstance, Rounds};
-use lcl_symmetry::{colour_delta_plus_one, mis_with_ids, CyclePower};
+use lcl_symmetry::{colour_delta_plus_one, mis_with_ids, ColourReduction, CyclePower};
 
 /// Which grid dimension a `j,k`-independent set belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,8 +99,15 @@ impl EdgeColouring {
                 side: n,
             });
         }
+        // The colouring that orders the move phases depends only on the
+        // torus, `k` and the ids: one per solve serves both dimensions and
+        // every spacing attempt.
+        let phases = colour_delta_plus_one(
+            &Power2::new(instance.torus(), Metric::Linf, 4 * k),
+            instance.ids(),
+        );
         loop {
-            if let Some(run) = self.attempt(instance, k, spacing) {
+            if let Some(run) = self.attempt(instance, k, spacing, &phases) {
                 return Ok(run);
             }
             spacing += spacing / 2;
@@ -123,13 +130,14 @@ impl EdgeColouring {
         instance: &GridInstance,
         k: usize,
         spacing: usize,
+        phases: &ColourReduction,
     ) -> Option<EdgeColouringRun> {
         let torus = instance.torus();
         let mut rounds = Rounds::new();
 
         // j,k-independent sets for both dimensions.
-        let rows_set = jk_independent(instance, Dim::Rows, k, spacing, &mut rounds)?;
-        let cols_set = jk_independent(instance, Dim::Cols, k, spacing, &mut rounds)?;
+        let rows_set = jk_independent(instance, Dim::Rows, k, spacing, phases, &mut rounds)?;
+        let cols_set = jk_independent(instance, Dim::Cols, k, spacing, phases, &mut rounds)?;
         let measured_j =
             measure_j(&torus, &rows_set, Dim::Rows).max(measure_j(&torus, &cols_set, Dim::Cols));
 
@@ -184,13 +192,15 @@ impl EdgeColouring {
 
 /// Builds a `j,k`-independent set w.r.t. one dimension: per-row MIS of the
 /// row-cycle power, then the §10 move-east phases until all radius-`2k`
-/// balls are pairwise disjoint. Returns `None` (escalate) if a node would
-/// have to move past its row budget.
+/// balls are pairwise disjoint, in the order of `phases`, a `(Δ+1)`-colouring
+/// of L∞ distance `4k`. Returns `None` (escalate) if a node would have to
+/// move past its row budget.
 fn jk_independent(
     instance: &GridInstance,
     dim: Dim,
     k: usize,
     spacing: usize,
+    phases: &ColourReduction,
     rounds: &mut Rounds,
 ) -> Option<Vec<bool>> {
     let torus = instance.torus();
@@ -227,12 +237,9 @@ fn jk_independent(
         );
     }
 
-    // Colouring of L∞ distance 4k to order the move phases.
-    let power = lcl_grid::Power2::new(torus, Metric::Linf, 4 * k);
-    let reduction = colour_delta_plus_one(&power, instance.ids());
     rounds.charge(
         "move-phase-colouring",
-        reduction.rounds.total() * (8 * k) as u64,
+        phases.rounds.total() * (8 * k) as u64,
     );
 
     // Phases: members of the current colour move east along their line
@@ -246,15 +253,14 @@ fn jk_independent(
         Dim::Rows => torus.offset(p, 1, 0),
         Dim::Cols => torus.offset(p, 0, 1),
     };
+    let ball = torus.ball_offsets(Metric::Linf, 2 * k);
     let crowded = |occ: &[bool], p: Pos| {
-        torus
-            .ball(Metric::Linf, p, 2 * k)
-            .into_iter()
-            .any(|q| occ[torus.index(q)])
+        ball.iter()
+            .any(|&(dx, dy)| occ[torus.index(torus.offset(p, dx, dy))])
     };
     let mut phase_colours: Vec<u64> = members
         .iter()
-        .map(|&m| reduction.colours[torus.index(m)])
+        .map(|&m| phases.colours[torus.index(m)])
         .collect();
     let mut order: Vec<usize> = (0..members.len()).collect();
     order.sort_by_key(|&i| phase_colours[i]);
@@ -278,7 +284,7 @@ fn jk_independent(
     }
     rounds.charge(
         &format!("move-phases({dim:?})"),
-        reduction.palette * budget as u64,
+        phases.palette * budget as u64,
     );
 
     // Verify Definition 18 property (2): pairwise L∞ distance > 2k.

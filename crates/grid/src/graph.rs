@@ -198,11 +198,21 @@ impl Graph for TorusD {
 /// The `metric`-power of a torus: nodes are adjacent iff their distance is
 /// `1..=k`. This is the paper's `G^(k)` ([`Metric::L1`]) or `G^[k]`
 /// ([`Metric::Linf`]).
-#[derive(Clone, Copy, Debug)]
+///
+/// The punctured ball is computed once, at construction, as a table of
+/// offsets already wrapped into `[0, w) × [0, h)`; a neighbour visit is
+/// then two additions and two conditional subtractions. The table holds
+/// `Δ` entries, whereas a CSR view ([`Graph::adjacency`]) would hold
+/// `n·Δ`: a torus power is vertex-transitive, so one ball serves every
+/// node.
+#[derive(Clone, Debug)]
 pub struct Power2 {
     torus: Torus2,
     metric: Metric,
     k: usize,
+    /// [`Torus2::ball_offsets`] in the same order, each `(dx, dy)`
+    /// reduced mod `(w, h)`.
+    offsets: Vec<(usize, usize)>,
 }
 
 impl Power2 {
@@ -213,7 +223,18 @@ impl Power2 {
     /// Panics if `k == 0`.
     pub fn new(torus: Torus2, metric: Metric, k: usize) -> Power2 {
         assert!(k > 0, "power exponent must be positive");
-        Power2 { torus, metric, k }
+        let (w, h) = (torus.width() as i64, torus.height() as i64);
+        let offsets = torus
+            .ball_offsets(metric, k)
+            .into_iter()
+            .map(|(dx, dy)| (dx.rem_euclid(w) as usize, dy.rem_euclid(h) as usize))
+            .collect();
+        Power2 {
+            torus,
+            metric,
+            k,
+            offsets,
+        }
     }
 
     /// The underlying torus.
@@ -238,21 +259,27 @@ impl Graph for Power2 {
     }
 
     fn for_each_neighbour(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        let p = self.torus.pos(v);
-        for q in self.torus.ball(self.metric, p, self.k) {
-            let i = self.torus.index(q);
-            if i != v {
-                f(i);
+        let (w, h) = (self.torus.width(), self.torus.height());
+        let (x, y) = (v % w, v / w);
+        for &(dx, dy) in &self.offsets {
+            let mut nx = x + dx;
+            if nx >= w {
+                nx -= w;
             }
+            let mut ny = y + dy;
+            if ny >= h {
+                ny -= h;
+            }
+            f(ny * w + nx);
         }
     }
 
-    fn degree(&self, v: usize) -> usize {
-        self.torus.ball_offsets(self.metric, self.k).len().min(
-            self.torus
-                .ball(self.metric, self.torus.pos(v), self.k)
-                .len(),
-        )
+    fn degree(&self, _v: usize) -> usize {
+        self.offsets.len()
+    }
+
+    fn max_degree(&self) -> usize {
+        self.offsets.len()
     }
 }
 
@@ -464,6 +491,40 @@ mod tests {
         let nbrs = p.neighbours_vec(t.index(Pos::new(4, 4)));
         for u in nbrs {
             assert!(t.linf(Pos::new(4, 4), t.pos(u)) <= 2);
+        }
+    }
+
+    #[test]
+    fn power_graph_neighbours_are_the_ball() {
+        // Both metrics, non-square tori, and balls that wrap a side
+        // (2k ≥ side), down to a side of 1.
+        let cases = [
+            (Torus2::square(16), Metric::L1, 2),
+            (Torus2::square(20), Metric::Linf, 2),
+            (Torus2::rect(18, 11), Metric::L1, 3),
+            (Torus2::rect(13, 22), Metric::Linf, 2),
+            (Torus2::square(9), Metric::L1, 5),
+            (Torus2::rect(7, 12), Metric::Linf, 4),
+            (Torus2::rect(1, 6), Metric::L1, 2),
+            (Torus2::square(30), Metric::Linf, 7),
+        ];
+        for (t, metric, k) in cases {
+            let p = Power2::new(t, metric, k);
+            let mut max = 0;
+            for v in 0..Graph::node_count(&p) {
+                let mut got = p.neighbours_vec(v);
+                let mut expect: Vec<usize> = t
+                    .ball(metric, t.pos(v), k)
+                    .into_iter()
+                    .map(|q| t.index(q))
+                    .collect();
+                assert_eq!(p.degree(v), expect.len(), "{t:?} {metric:?} k={k}");
+                got.sort_unstable();
+                expect.sort_unstable();
+                assert_eq!(got, expect, "{t:?} {metric:?} k={k} v={v}");
+                max = max.max(expect.len());
+            }
+            assert_eq!(p.max_degree(), max, "{t:?} {metric:?} k={k}");
         }
     }
 

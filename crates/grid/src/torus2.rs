@@ -236,41 +236,27 @@ impl Torus2 {
     /// `metric`-power `G^k`: no two marked nodes at distance `≤ k`.
     pub fn is_independent(&self, metric: Metric, k: usize, marked: &[bool]) -> bool {
         assert_eq!(marked.len(), self.node_count());
-        for i in 0..marked.len() {
-            if !marked[i] {
-                continue;
-            }
-            let p = self.pos(i);
-            for q in self.ball(metric, p, k) {
-                if marked[self.index(q)] {
-                    return false;
-                }
-            }
-        }
-        true
+        let offsets = self.ball_offsets(metric, k);
+        (0..marked.len())
+            .filter(|&i| marked[i])
+            .all(|i| !self.ball_hits(&offsets, self.pos(i), marked))
     }
 
     /// Checks that a set of marked nodes is a *maximal* independent set of
     /// the `metric`-power `G^k`: independent, and every unmarked node has a
     /// marked node within distance `k`.
     pub fn is_maximal_independent(&self, metric: Metric, k: usize, marked: &[bool]) -> bool {
-        if !self.is_independent(metric, k, marked) {
-            return false;
-        }
-        for i in 0..marked.len() {
-            if marked[i] {
-                continue;
-            }
-            let p = self.pos(i);
-            let dominated = self
-                .ball(metric, p, k)
-                .into_iter()
-                .any(|q| marked[self.index(q)]);
-            if !dominated {
-                return false;
-            }
-        }
-        true
+        assert_eq!(marked.len(), self.node_count());
+        // Marked nodes see no marked node in their ball; unmarked ones do.
+        let offsets = self.ball_offsets(metric, k);
+        (0..marked.len()).all(|i| self.ball_hits(&offsets, self.pos(i), marked) != marked[i])
+    }
+
+    /// True iff some node at one of `offsets` from `p` is marked.
+    fn ball_hits(&self, offsets: &[(i64, i64)], p: Pos, marked: &[bool]) -> bool {
+        offsets
+            .iter()
+            .any(|&(dx, dy)| marked[self.index(self.offset(p, dx, dy))])
     }
 }
 

@@ -122,6 +122,16 @@ impl TorusD {
         )
     }
 
+    /// Index of `p` translated by `delta`: [`TorusD::offset_all`]
+    /// followed by [`TorusD::index`], without building the position.
+    pub fn offset_index(&self, p: &PosD, delta: &[i64]) -> usize {
+        debug_assert_eq!(delta.len(), self.dim);
+        let n = self.side as i64;
+        p.0.iter().zip(delta).rev().fold(0, |idx, (&c, &d)| {
+            idx * self.side + (c as i64 + d).rem_euclid(n) as usize
+        })
+    }
+
     /// Toroidal norm of a single coordinate difference.
     #[inline]
     fn norm1d(&self, diff: i64) -> usize {
@@ -213,39 +223,25 @@ impl TorusD {
     /// Checks independence of `marked` in the `metric`-power `G^k`.
     pub fn is_independent(&self, metric: Metric, k: usize, marked: &[bool]) -> bool {
         assert_eq!(marked.len(), self.node_count());
-        for i in 0..marked.len() {
-            if !marked[i] {
-                continue;
-            }
-            let p = self.pos(i);
-            for q in self.ball(metric, &p, k) {
-                if marked[self.index(&q)] {
-                    return false;
-                }
-            }
-        }
-        true
+        let offsets = self.ball_offsets(metric, k);
+        (0..marked.len())
+            .filter(|&i| marked[i])
+            .all(|i| !self.ball_hits(&offsets, &self.pos(i), marked))
     }
 
     /// Checks maximal independence of `marked` in the `metric`-power `G^k`.
     pub fn is_maximal_independent(&self, metric: Metric, k: usize, marked: &[bool]) -> bool {
-        if !self.is_independent(metric, k, marked) {
-            return false;
-        }
-        for i in 0..marked.len() {
-            if marked[i] {
-                continue;
-            }
-            let p = self.pos(i);
-            if !self
-                .ball(metric, &p, k)
-                .into_iter()
-                .any(|q| marked[self.index(&q)])
-            {
-                return false;
-            }
-        }
-        true
+        assert_eq!(marked.len(), self.node_count());
+        // Marked nodes see no marked node in their ball; unmarked ones do.
+        let offsets = self.ball_offsets(metric, k);
+        (0..marked.len()).all(|i| self.ball_hits(&offsets, &self.pos(i), marked) != marked[i])
+    }
+
+    /// True iff some node at one of `offsets` from `p` is marked.
+    fn ball_hits(&self, offsets: &[Vec<i64>], p: &PosD, marked: &[bool]) -> bool {
+        offsets
+            .iter()
+            .any(|delta| marked[self.offset_index(p, delta)])
     }
 }
 
@@ -258,6 +254,18 @@ mod tests {
         let t = TorusD::new(3, 4);
         for i in 0..t.node_count() {
             assert_eq!(t.index(&t.pos(i)), i);
+        }
+    }
+
+    #[test]
+    fn offset_index_matches_offset_all() {
+        let t = TorusD::new(3, 5);
+        let offsets = t.ball_offsets(Metric::L1, 3);
+        for i in (0..t.node_count()).step_by(7) {
+            let p = t.pos(i);
+            for delta in &offsets {
+                assert_eq!(t.offset_index(&p, delta), t.index(&t.offset_all(&p, delta)));
+            }
         }
     }
 

@@ -147,12 +147,12 @@ pub fn linial_colour<G: Graph>(graph: &G, ids: &[u64]) -> ColourReduction {
     let mut colours: Vec<u64> = ids.to_vec();
 
     let mut steps = 0u64;
+    let mut nbr_colours = Vec::with_capacity(max_degree as usize);
     while let Some((q, d)) = choose_params(palette, max_degree) {
         let mut next = vec![0u64; colours.len()];
         for v in 0..graph.node_count() {
             let cv = colours[v];
-            // Collect neighbour colours.
-            let mut nbr_colours = Vec::with_capacity(max_degree as usize);
+            nbr_colours.clear();
             graph.for_each_neighbour(v, &mut |u| nbr_colours.push(colours[u]));
             debug_assert!(
                 nbr_colours.iter().all(|&cu| cu != cv),
@@ -202,40 +202,54 @@ pub fn kw_reduce<G: Graph>(graph: &G, reduction: ColourReduction) -> ColourReduc
     let mut colours = reduction.colours;
     let mut palette = reduction.palette;
     let mut rounds = reduction.rounds;
+    let n = colours.len();
+    // Each node's colour split into its group and its in-group index,
+    // so the neighbour scans below divide nothing.
+    let mut group = vec![0u64; n];
+    let mut index = vec![0u64; n];
+    // `classes[c]`: the nodes whose in-group index is `target + c`.
+    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); target as usize];
+    // `used[i] == stamp` iff in-group index `i` is taken by a neighbour
+    // of the node being recoloured; a fresh stamp per node clears it.
+    let mut used = vec![0u64; target as usize];
+    let mut stamp = 0u64;
     while palette > target {
         let group_size = 2 * target;
         let groups = palette.div_ceil(group_size);
+        for class in &mut classes {
+            class.clear();
+        }
+        for (v, &c) in colours.iter().enumerate() {
+            group[v] = c / group_size;
+            index[v] = c % group_size;
+            if index[v] >= target {
+                classes[(index[v] - target) as usize].push(v);
+            }
+        }
         // Within each group, colours [0, target) keep their index; the
-        // rest are recoloured one class at a time.
-        for class in target..group_size {
-            // All nodes whose in-group index equals `class` recolour
-            // simultaneously (they form an independent set within each
-            // group because the colouring is proper).
-            let snapshot = colours.clone();
-            for v in 0..graph.node_count() {
-                let (g, idx) = (snapshot[v] / group_size, snapshot[v] % group_size);
-                if idx != class {
-                    continue;
-                }
-                let mut used = vec![false; target as usize];
+        // rest are recoloured one class at a time. The nodes of a class
+        // that share a group share a colour, so they are pairwise
+        // non-adjacent, and recolouring never changes a node's group:
+        // the live indices read here are those at the start of the round.
+        for class in &classes {
+            for &v in class {
+                stamp += 1;
+                let g = group[v];
                 graph.for_each_neighbour(v, &mut |u| {
-                    let (gu, iu) = (snapshot[u] / group_size, snapshot[u] % group_size);
-                    if gu == g && iu < target {
-                        used[iu as usize] = true;
+                    if group[u] == g && index[u] < target {
+                        used[index[u] as usize] = stamp;
                     }
                 });
-                let free = (0..target)
-                    .find(|&c| !used[c as usize])
+                index[v] = (0..target)
+                    .find(|&i| used[i as usize] != stamp)
                     .expect("a group holds at most Δ in-group neighbours");
-                colours[v] = g * group_size + free;
             }
             rounds.charge("kw-reduction", 1);
         }
         // Compact: group g, index i → g·target + i.
-        for c in colours.iter_mut() {
-            let (g, idx) = (*c / group_size, *c % group_size);
-            debug_assert!(idx < target);
-            *c = g * target + idx;
+        for (v, c) in colours.iter_mut().enumerate() {
+            debug_assert!(index[v] < target);
+            *c = group[v] * target + index[v];
         }
         palette = groups * target;
     }

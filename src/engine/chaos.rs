@@ -139,11 +139,6 @@ impl ChaosState {
         }
     }
 
-    /// Arms the default battery for a seed (see [`ChaosConfig::from_seed`]).
-    pub fn from_seed(seed: u64) -> ChaosState {
-        ChaosState::new(ChaosConfig::from_seed(seed))
-    }
-
     /// The config this state was armed with.
     pub fn config(&self) -> &ChaosConfig {
         &self.config
@@ -228,8 +223,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        let a = ChaosState::from_seed(42);
-        let b = ChaosState::from_seed(42);
+        let a = ChaosState::new(ChaosConfig::from_seed(42));
+        let b = ChaosState::new(ChaosConfig::from_seed(42));
         let fire_a: Vec<bool> = (0..200)
             .map(|_| a.should(FaultPoint::SolveLatency))
             .collect();
@@ -249,8 +244,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = ChaosState::from_seed(1);
-        let b = ChaosState::from_seed(2);
+        let a = ChaosState::new(ChaosConfig::from_seed(1));
+        let b = ChaosState::new(ChaosConfig::from_seed(2));
         let fire_a: Vec<bool> = (0..200).map(|_| a.should(FaultPoint::SolvePanic)).collect();
         let fire_b: Vec<bool> = (0..200).map(|_| b.should(FaultPoint::SolvePanic)).collect();
         assert_ne!(fire_a, fire_b);
