@@ -204,23 +204,3 @@ fn headline(severity: &str, code: Code, message: &str, span: Option<Span>, src: 
         "^".repeat(width)
     )
 }
-
-/// Escapes a string for embedding in a JSON document (the analyze crate
-/// is dependency-free, so the JSON renderer is hand-rolled).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}

@@ -38,14 +38,13 @@ mod diag;
 
 pub use diag::{Code, Diagnostic, Severity};
 
-use diag::json_escape;
 use lcl_core::lcl::{Block, BlockLcl};
 use lcl_core::Label;
 use lcl_lang::ast::{Cell, ClauseKind, Dir, Polarity, ProblemDef};
 use lcl_lang::{CompiledLcl, LangError, Span};
+use lcl_trace::json::Json;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// The four sides on which a block may fail to extend during the
 /// arc-consistency closure (certificate vocabulary for `L002`).
@@ -194,102 +193,84 @@ impl Analysis {
 
     /// Renders the full report as a deterministic JSON document: the
     /// diagnostics (with byte spans, plus line/column when `src` is
-    /// non-empty) and every structural verdict. The crate is
-    /// dependency-free, so the document is emitted directly.
+    /// non-empty) and every structural verdict, in a fixed key order.
     pub fn to_json(&self, src: &str) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"problem\":\"{}\",\"alphabet\":{},\"blocks\":{},\"diagnostics\":[",
-            json_escape(&self.name),
-            self.alphabet,
-            self.blocks
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&diagnostic_json(d, src));
-        }
-        out.push_str("],\"dead_labels\":[");
-        for (i, l) in self.dead.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{l}");
-        }
-        out.push_str("],\"unsolvable\":");
-        match &self.unsolvable {
-            None => out.push_str("null"),
-            Some(cert) => {
-                out.push_str("{\"eliminated\":[");
-                for (i, (block, dir)) in cert.eliminated.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"block\":[{},{},{},{}],\"missing\":\"{dir}\"}}",
-                        block[0], block[1], block[2], block[3]
-                    );
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str(",\"constant_label\":");
-        match self.constant {
-            None => out.push_str("null"),
-            Some(l) => {
-                let _ = write!(out, "{l}");
-            }
-        }
-        let _ = write!(
-            out,
-            ",\"axis_decomposable\":{},\"axis_symmetric\":{},\"h_symmetric\":{},\"v_symmetric\":{}}}",
-            self.axis.is_some(),
-            self.axis.as_ref().is_some_and(|a| a.axis_symmetric),
-            self.h_symmetric,
-            self.v_symmetric
-        );
-        out
+        let unsolvable = self.unsolvable.as_ref().map_or(Json::Null, |cert| {
+            let eliminated = cert.eliminated.iter().map(|(block, dir)| {
+                Json::obj(vec![
+                    (
+                        "block",
+                        Json::Arr(block.iter().map(|&l| Json::num(l)).collect()),
+                    ),
+                    ("missing", Json::str(dir.as_str())),
+                ])
+            });
+            Json::obj(vec![("eliminated", Json::Arr(eliminated.collect()))])
+        });
+        let axis_symmetric = self.axis.as_ref().is_some_and(|a| a.axis_symmetric);
+        Json::obj(vec![
+            ("problem", Json::str(&self.name)),
+            ("alphabet", Json::num(self.alphabet)),
+            ("blocks", Json::size(self.blocks)),
+            (
+                "diagnostics",
+                Json::Arr(
+                    self.diagnostics
+                        .iter()
+                        .map(|d| diagnostic_json(d, src))
+                        .collect(),
+                ),
+            ),
+            (
+                "dead_labels",
+                Json::Arr(self.dead.iter().map(|&l| Json::num(l)).collect()),
+            ),
+            ("unsolvable", unsolvable),
+            (
+                "constant_label",
+                self.constant.map_or(Json::Null, Json::num),
+            ),
+            ("axis_decomposable", Json::Bool(self.axis.is_some())),
+            ("axis_symmetric", Json::Bool(axis_symmetric)),
+            ("h_symmetric", Json::Bool(self.h_symmetric)),
+            ("v_symmetric", Json::Bool(self.v_symmetric)),
+        ])
+        .to_string()
     }
 }
 
-fn diagnostic_json(d: &Diagnostic, src: &str) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-        d.code,
-        d.severity,
-        json_escape(&d.message)
-    );
-    out.push_str(&span_json(d.span, src));
-    out.push_str(",\"related\":[");
-    for (i, (note, span)) in d.related.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"note\":\"{}\"", json_escape(note));
-        out.push_str(&span_json(Some(*span), src));
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+fn diagnostic_json(d: &Diagnostic, src: &str) -> Json {
+    let mut fields = vec![
+        ("code", Json::str(d.code.as_str())),
+        ("severity", Json::str(d.severity.as_str())),
+        ("message", Json::str(&d.message)),
+    ];
+    fields.extend(span_fields(d.span, src));
+    let related = d.related.iter().map(|(note, span)| {
+        let mut fields = vec![("note", Json::str(note))];
+        fields.extend(span_fields(Some(*span), src));
+        Json::obj(fields)
+    });
+    fields.push(("related", Json::Arr(related.collect())));
+    Json::obj(fields)
 }
 
-fn span_json(span: Option<Span>, src: &str) -> String {
-    match span {
-        None => ",\"start\":null,\"end\":null".to_string(),
-        Some(span) => {
-            let mut out = format!(",\"start\":{},\"end\":{}", span.start, span.end);
-            if !src.is_empty() {
-                let (line, col) = span.line_col(src);
-                let _ = write!(out, ",\"line\":{line},\"column\":{col}");
-            }
-            out
-        }
+/// A span's `start`/`end` byte offsets (both `null` without a span),
+/// plus its `line`/`column` when the source is at hand.
+fn span_fields(span: Option<Span>, src: &str) -> Vec<(&'static str, Json)> {
+    let Some(span) = span else {
+        return vec![("start", Json::Null), ("end", Json::Null)];
+    };
+    let mut fields = vec![
+        ("start", Json::size(span.start)),
+        ("end", Json::size(span.end)),
+    ];
+    if !src.is_empty() {
+        let (line, col) = span.line_col(src);
+        fields.push(("line", Json::size(line)));
+        fields.push(("column", Json::size(col)));
     }
+    fields
 }
 
 /// A compiled problem together with its analysis — what [`compile`]

@@ -8,6 +8,7 @@ use lcl_lang::ast::{
     Cell, ClauseKind, Dir, EdgeScope, Pattern, Polarity, ProblemDef, UniformRelation,
 };
 use lcl_lang::Spanned;
+use lcl_trace::json::Json;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -112,15 +113,25 @@ fn certificate_replays(lcl: &lcl_core::BlockLcl, eliminated: &[(Block, AxisDir)]
 }
 
 proptest! {
-    /// Analysing any parseable source never panics, and both renderers
-    /// are total over the result.
+    /// Analysing any parseable source never panics, both renderers are
+    /// total over the result, and the JSON report parses back with the
+    /// problem's name and one entry per diagnostic.
     #[test]
     fn analysis_never_panics(def in problem_def()) {
         let src = def.to_source();
         if let Ok(out) = compile(&src) {
             let _ = out.analysis.render_text(&src);
-            let _ = out.analysis.to_json(&src);
-            let _ = out.analysis.to_json("");
+            for text in [&src[..], ""] {
+                let report = Json::parse(&out.analysis.to_json(text)).unwrap();
+                prop_assert_eq!(
+                    report.get("problem").and_then(Json::as_str),
+                    Some(out.analysis.name())
+                );
+                prop_assert_eq!(
+                    report.get("diagnostics").and_then(Json::as_arr).map(<[Json]>::len),
+                    Some(out.analysis.diagnostics().len())
+                );
+            }
         }
     }
 

@@ -277,3 +277,31 @@ fn global_seeds_respect_the_synthesis_k_gate() {
     assert_eq!(prepared.classify().unwrap(), GridClass::Constant);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The engine reads census lines with the same reader as `Atlas::load`,
+/// so an artifact of another format version cannot seed classifications
+/// that the census loader itself would refuse.
+#[test]
+fn engine_refuses_other_census_versions() {
+    let dir = temp_dir("version");
+    let path = artifact_for(&dir, &one_block_spec(), GridClass::LogStar, 1);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.starts_with("{\"atlas-census\":1,"));
+    std::fs::write(
+        &path,
+        text.replacen("\"atlas-census\":1", "\"atlas-census\":2", 1),
+    )
+    .unwrap();
+
+    let Err(err) = Engine::builder().atlas(&path) else {
+        panic!("a version-2 header must be refused");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let message = err.to_string();
+    assert!(
+        message.contains(&format!("{}:1:", path.display())),
+        "error must name line 1: {message}"
+    );
+    assert!(Atlas::load(&path).is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}

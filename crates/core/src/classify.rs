@@ -30,6 +30,28 @@ pub enum GridClass {
     Global,
 }
 
+impl GridClass {
+    /// The stable string form, shared by the census artifact and the
+    /// service's `/classify` answer.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            GridClass::Constant => "constant",
+            GridClass::LogStar => "log-star",
+            GridClass::Global => "global",
+        }
+    }
+
+    /// Parses the stable string form.
+    pub fn parse(s: &str) -> Option<GridClass> {
+        match s {
+            "constant" => Some(GridClass::Constant),
+            "log-star" => Some(GridClass::LogStar),
+            "global" => Some(GridClass::Global),
+            _ => None,
+        }
+    }
+}
+
 /// An asymptotically optimal algorithm for a classified problem.
 pub enum OptimalAlgorithm {
     /// Output this label everywhere; `O(1)` rounds.

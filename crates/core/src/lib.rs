@@ -11,6 +11,9 @@
 //!   permutation, transpose, and reflection symmetries, plus the
 //!   content-addressed census identity used by `lcl-atlas` and the
 //!   engine's atlas lookup.
+//! * [`census`] — the census line codec: the header and per-problem
+//!   records of `lcl-atlas` artifacts, read and written by `lcl-atlas`
+//!   and the engine's atlas lookup alike.
 //! * [`problems`] — the concrete problem library: vertex and edge
 //!   colourings, `X`-orientations, maximal independent sets.
 //! * [`existence`] — a SAT-based per-`n` existence solver (the `Θ(n)`
@@ -32,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 pub mod canonical;
+pub mod census;
 pub mod classify;
 pub mod cycles;
 pub mod existence;

@@ -3,10 +3,11 @@
 //! PR 5 gave the repository a prepared-plan *library* API — one shared
 //! [`Engine`](lcl_grids::engine::Engine), many problems, streaming
 //! mixed-problem batches. This crate puts that engine behind a socket:
-//! a dependency-free HTTP/1.1 front end (hand-rolled request parsing and
-//! JSON over `std::net` — the container bakes in no HTTP or serde
-//! crates) with the operational pieces a long-lived solver service
-//! needs and the library cannot provide:
+//! a dependency-free HTTP/1.1 front end (hand-rolled request parsing
+//! over `std::net`, and the workspace's one JSON codec,
+//! [`lcl_trace::json`], re-exported here as [`json`] — the container
+//! bakes in no HTTP or serde crates) with the operational pieces a
+//! long-lived solver service needs and the library cannot provide:
 //!
 //! * **Admission control** — an acceptor thread feeds a *bounded*
 //!   connection queue; when it is full the client gets a typed
@@ -115,7 +116,6 @@
 #![forbid(unsafe_code)]
 pub mod api;
 pub mod http;
-pub mod json;
 pub mod logging;
 pub mod metrics;
 pub mod server;
@@ -123,6 +123,9 @@ pub mod trace_store;
 
 pub use api::ApiError;
 pub use json::{Json, JsonError};
+/// The JSON codec every endpoint speaks, owned by `lcl-trace` and
+/// re-exported so `lcl_serve::json::Json` keeps resolving.
+pub use lcl_trace::json;
 pub use logging::LogLevel;
 pub use metrics::{Histogram, Metrics};
 pub use server::{ServeConfig, Server};

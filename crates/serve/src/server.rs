@@ -16,7 +16,6 @@ use crate::json::Json;
 use crate::logging::{self, LogLevel, RequestLine};
 use crate::metrics::Metrics;
 use crate::trace_store::{self, StoredTrace, TraceStore};
-use lcl_grids::core::classify::GridClass;
 use lcl_grids::engine::{Budget, ChaosConfig, Engine, Job, Labelling, PreparedProblem, SolveError};
 use lcl_trace::SpanKind;
 use std::collections::HashMap;
@@ -330,9 +329,9 @@ impl Server {
         if let Some(chaos) = config.chaos.clone() {
             builder = builder.chaos_config(chaos);
         }
-        // One artifact, two consumers: the engine's seeding table (its
-        // own minimal reader, `k`-gated) and the full census held for
-        // the `/atlas/…` endpoints.
+        // One artifact, one reader (`lcl_core::census`), two consumers:
+        // the engine's `k`-gated seeding table and the full census held
+        // for the `/atlas/…` endpoints.
         let mut atlas = None;
         if let Some(path) = &config.atlas_path {
             builder = builder.atlas(path)?;
@@ -1278,14 +1277,7 @@ fn endpoint_classify(shared: &Shared, request: &Request) -> Result<(u16, String)
             200,
             Json::obj(vec![
                 ("problem", Json::str(prepared.spec().name())),
-                (
-                    "class",
-                    Json::str(match class {
-                        GridClass::Constant => "constant",
-                        GridClass::LogStar => "log-star",
-                        GridClass::Global => "global",
-                    }),
-                ),
+                ("class", Json::str(class.as_str())),
             ])
             .to_string(),
         )),

@@ -11,7 +11,7 @@
 use lcl_grids::engine::ChaosConfig;
 use lcl_serve::json::Json;
 use lcl_serve::{ServeConfig, Server};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -484,11 +484,29 @@ fn queue_overflow_is_a_typed_429() {
 
     // Pin the only worker with a stalled request (headers promise a body
     // that never arrives, so the worker blocks in read until timeout).
-    let mut stall = TcpStream::connect(addr).expect("connect");
-    stall
-        .write_all(b"POST /solve HTTP/1.1\r\ncontent-length: 5\r\n\r\n")
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(300));
+    // If the worker was not yet back in its receive when the stall was
+    // accepted, the acceptor answered the stall itself with a 429; a
+    // silent socket is one the worker holds. Reconnect until it is.
+    let stall = (0..20)
+        .find_map(|_| {
+            let mut stall = TcpStream::connect(addr).expect("connect");
+            stall
+                .write_all(b"POST /solve HTTP/1.1\r\ncontent-length: 5\r\n\r\n")
+                .unwrap();
+            stall
+                .set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
+            match stall.read(&mut [0u8; 1]) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    Some(stall)
+                }
+                _ => {
+                    std::thread::sleep(Duration::from_millis(100));
+                    None
+                }
+            }
+        })
+        .expect("the worker never picked up the stalled connection");
 
     // Now the queue (capacity 0) cannot admit anyone: typed 429.
     let (status, body) = get(addr, "/healthz");

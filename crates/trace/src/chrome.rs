@@ -4,10 +4,12 @@
 //! format (`{"traceEvents":[...]}`) understood by `chrome://tracing`,
 //! Perfetto, and `about:tracing`: complete spans as `ph:"X"` events
 //! with microsecond `ts`/`dur`, instant marks as `ph:"i"`, counters as
-//! `args`. Hand-rolled like the rest of the workspace's JSON — the
-//! container bakes in no serde.
+//! `args`. Written by hand rather than through [`Json`](crate::json::Json)
+//! because `ts`/`dur` are fixed three-decimal literals; span names go
+//! through the shared escaper [`json::write_string`].
 
 use crate::collector::Event;
+use crate::json;
 use crate::span::SpanKind;
 use std::fmt::Write as _;
 
@@ -59,11 +61,11 @@ fn micros(ns: u64) -> String {
 
 fn render_event(out: &mut String, event: &Event) {
     let instant = event.kind == SpanKind::Mark || event.end_ns == event.start_ns;
-    out.push_str("{\"name\":\"");
-    escape_into(out, &event.name);
+    out.push_str("{\"name\":");
+    let _ = json::write_string(out, &event.name);
     let _ = write!(
         out,
-        "\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},",
+        ",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},",
         event.kind.category(),
         if instant { "i" } else { "X" },
         micros(event.start_ns),
@@ -86,22 +88,6 @@ fn render_event(out: &mut String, event: &Event) {
         }
     }
     out.push_str("}}");
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control bytes) —
-/// span names are short identifiers, but a hostile name must not break
-/// the document.
-fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,8 +137,12 @@ mod tests {
             events: vec![event("a\"b\\c\n", SpanKind::Mark, 0, 0)],
             dropped: 0,
         };
-        let json = trace.to_chrome_json();
-        assert!(json.contains("a\\\"b\\\\c\\u000a"));
+        let doc = json::Json::parse(&trace.to_chrome_json()).unwrap();
+        let events = doc.get("traceEvents").and_then(json::Json::as_arr).unwrap();
+        assert_eq!(
+            events[0].get("name").and_then(json::Json::as_str),
+            Some("a\"b\\c\n")
+        );
     }
 
     #[test]

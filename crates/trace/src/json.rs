@@ -1,13 +1,19 @@
 //! Dependency-free JSON: a small value type, a strict parser with byte
-//! offsets in its errors, and a canonical serialiser.
+//! offsets in its errors, a canonical serialiser, and the one string
+//! escaper ([`write_string`]) every JSON writer in the workspace shares.
 //!
-//! The service speaks JSON on every endpoint, and the offline build
-//! constraint rules out registry crates, so this module hand-rolls the
-//! subset the wire protocol needs: the full JSON value grammar (objects,
-//! arrays, strings with escapes incl. `\uXXXX` surrogate pairs, numbers,
-//! booleans, null), a recursion-depth cap so hostile bodies cannot blow
-//! the worker's stack, and object fields kept in insertion order for
-//! stable, diffable responses.
+//! `lcl-serve` speaks JSON on every endpoint, `lcl-analyze` renders its
+//! report with it, and the Chrome trace exporter escapes span names with
+//! it; the offline build constraint rules out registry crates, so this
+//! module hand-rolls the subset they need: the full JSON value grammar
+//! (objects, arrays, strings with escapes incl. `\uXXXX` surrogate
+//! pairs, numbers, booleans, null), a recursion-depth cap so hostile
+//! bodies cannot blow a worker's stack, and object fields kept in
+//! insertion order for stable, diffable documents.
+//!
+//! Numbers are `f64`, exact only up to 2⁵³. The census artifact carries
+//! a `u128` candidate count, so it keeps its own flat line codec
+//! (`lcl_core::census`) instead of this value type.
 
 use std::fmt;
 
@@ -417,21 +423,7 @@ impl fmt::Display for Json {
                     write!(f, "{n}")
                 }
             }
-            Json::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\r' => f.write_str("\\r")?,
-                        '\t' => f.write_str("\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
+            Json::Str(s) => write_string(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -448,12 +440,32 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{value}", Json::Str(key.clone()))?;
+                    write_string(f, key)?;
+                    write!(f, ":{value}")?;
                 }
                 f.write_str("}")
             }
         }
     }
+}
+
+/// Writes `s` as a JSON string literal, quotes included: `"` and `\`
+/// are backslash-escaped, `\n`, `\r` and `\t` by name, every other
+/// control character as `\u00XX`; everything else is copied through.
+pub fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 #[cfg(test)]
@@ -471,6 +483,22 @@ mod tests {
         ] {
             let parsed = Json::parse(src).unwrap();
             assert_eq!(Json::parse(&parsed.to_string()).unwrap(), parsed);
+        }
+        // Every string survives the shared escaper: all control bytes,
+        // the two characters JSON reserves, and a non-BMP scalar.
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            controls.as_str(),
+            "\"",
+            "\\",
+            "a\"b\\c\n",
+            "\u{1F600}",
+            "x\u{7f}\u{e9}\u{10FFFF}y",
+        ] {
+            assert_eq!(
+                Json::parse(&Json::str(s).to_string()).unwrap(),
+                Json::str(s)
+            );
         }
     }
 

@@ -33,6 +33,9 @@
 //!   resulting [`Cost`] ledger to every `SolveReport`.
 //! * **[`Trace::to_chrome_json`]** — exports a snapshot as Chrome Trace
 //!   Event Format JSON, loadable in `chrome://tracing` or Perfetto.
+//! * **[`json`]** — the workspace's one JSON value type, strict parser
+//!   and string escaper ([`json::write_string`]), shared by `lcl-serve`'s
+//!   wire protocol, `lcl-analyze`'s report and the Chrome exporter.
 //!
 //! Trace ids ([`set_current_trace`]) tie every span recorded on a
 //! thread to the request being served; `lcl-serve` mints one per HTTP
@@ -57,6 +60,7 @@
 mod chrome;
 mod collector;
 mod cost;
+pub mod json;
 mod span;
 
 pub use chrome::Trace;

@@ -30,6 +30,7 @@
 
 use super::spec::ProblemSpec;
 use lcl_core::canonical;
+use lcl_core::census::{Header, Record};
 use lcl_core::classify::GridClass;
 use std::collections::HashMap;
 use std::io::{self, BufRead};
@@ -67,9 +68,11 @@ pub struct AtlasTable {
 
 impl AtlasTable {
     /// Loads a census artifact (JSON-lines: one header object, then one
-    /// record per canonical problem, as written by the `atlas` bin).
-    /// Malformed input is an [`io::ErrorKind::InvalidData`] error naming
-    /// the offending line.
+    /// record per canonical problem, as written by the `atlas` bin),
+    /// through the same [`lcl_core::census`] reader `lcl-atlas` uses.
+    /// Malformed input — including a header of another format version —
+    /// is an [`io::ErrorKind::InvalidData`] error naming the offending
+    /// line.
     pub fn load(path: impl AsRef<Path>) -> io::Result<AtlasTable> {
         let path = path.as_ref();
         let file = std::fs::File::open(path)?;
@@ -78,40 +81,24 @@ impl AtlasTable {
             .next()
             .transpose()?
             .ok_or_else(|| invalid(path, 1, "empty artifact (missing header line)"))?;
-        if field_u64(&header, "atlas-census").is_none() {
-            return Err(invalid(path, 1, "first line is not an atlas census header"));
-        }
-        let census_k = field_u64(&header, "max_synthesis_k")
-            .ok_or_else(|| invalid(path, 1, "header lacks max_synthesis_k"))?
-            as usize;
+        let header = Header::parse(&header).map_err(|e| invalid(path, 1, &e))?;
         let mut entries = HashMap::new();
         for (idx, line) in lines.enumerate() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let lineno = idx + 2;
-            let key = field_str(&line, "key")
-                .ok_or_else(|| invalid(path, lineno, "record lacks a key field"))?
-                .to_string();
-            let verdict = field_str(&line, "verdict")
-                .ok_or_else(|| invalid(path, lineno, "record lacks a verdict field"))?
-                .to_string();
-            let class = match field_str(&line, "class") {
-                Some("constant") => Some(GridClass::Constant),
-                Some("log-star") => Some(GridClass::LogStar),
-                Some("global") => Some(GridClass::Global),
-                Some(other) => {
-                    return Err(invalid(path, lineno, &format!("unknown class {other:?}")))
-                }
-                None => None,
+            let record = Record::parse(&line).map_err(|e| invalid(path, idx + 2, &e))?;
+            let entry = AtlasEntry {
+                verdict: record.verdict.as_str().to_string(),
+                class: record.class,
             };
-            if verdict == "classified" && class.is_none() {
-                return Err(invalid(path, lineno, "classified record lacks a class"));
-            }
-            entries.insert(key, AtlasEntry { verdict, class });
+            entries.insert(record.key, entry);
         }
-        Ok(AtlasTable { census_k, entries })
+        Ok(AtlasTable {
+            census_k: header.max_synthesis_k as usize,
+            entries,
+        })
     }
 
     /// Builds a table from parts — the in-process path used by tests and
@@ -175,42 +162,9 @@ fn invalid(path: &Path, lineno: usize, message: &str) -> io::Error {
     )
 }
 
-/// Extracts a string field from one machine-written artifact line. The
-/// artifact writer emits census names, verdicts, and class tags — short
-/// strings over `[a-z0-9-]` — so a flat scan for `"field":"…"` is exact;
-/// this is not a general JSON parser and does not need to be.
-fn field_str<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-/// Extracts a non-negative integer field from one artifact line.
-fn field_u64(line: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn field_scanners() {
-        let line = r#"{"key":"atlas-a2-00ff","verdict":"classified","class":"log-star","n":42}"#;
-        assert_eq!(field_str(line, "key"), Some("atlas-a2-00ff"));
-        assert_eq!(field_str(line, "class"), Some("log-star"));
-        assert_eq!(field_str(line, "missing"), None);
-        assert_eq!(field_u64(line, "n"), Some(42));
-        assert_eq!(field_u64(line, "key"), None);
-    }
 
     #[test]
     fn global_verdicts_respect_the_k_gate() {
