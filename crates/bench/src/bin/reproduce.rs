@@ -12,6 +12,7 @@
 
 use lcl_grids::algorithms::corner;
 use lcl_grids::algorithms::orientations::{predicted_class, OrientationClass};
+use lcl_grids::core::counting;
 use lcl_grids::core::cycles::{classify, synthesize_cycle_algorithm, CycleClass, CycleLcl};
 use lcl_grids::core::lm::{LmProblem, LmStrategy};
 use lcl_grids::core::problems::XSet;
@@ -115,7 +116,7 @@ fn main() {
 
     header(
         "E6",
-        "X-orientation census (Theorem 22), via Engine::classify",
+        "X-orientation census (Theorem 22), via Engine::classify; certified(p) = counting certificate mod p",
     );
     let mut agree = 0;
     for x in XSet::all() {
@@ -129,8 +130,16 @@ fn main() {
             OrientationClass::LogStar => "Θ(log*) ",
             OrientationClass::Global => "global  ",
         };
+        // Why a row is ruled out: the counting certificate's modulus, or
+        // nothing when the verdict came from SAT.
+        let certified = e
+            .spec()
+            .grid_problem()
+            .and_then(|p| counting::rules_out(p, &Torus2::square(5)))
+            .map(|cert| format!(" certified(p={})", cert.p))
+            .unwrap_or_default();
         println!(
-            "  X={:<12} {shown} solvable(n=5)={solvable_odd_5}",
+            "  X={:<12} {shown} solvable(n=5)={solvable_odd_5}{certified}",
             x.to_string()
         );
     }

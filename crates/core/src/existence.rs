@@ -3,15 +3,20 @@
 //! Every LCL is solvable in `O(n)` rounds when solvable at all: gather the
 //! whole grid and output a canonical solution (§7). This module is that
 //! canonical-solution engine. It also powers the impossibility rows of the
-//! classification tables (e.g. Theorem 21: no edge `2d`-colouring for odd
-//! `n`; Lemma 24: no `{1,3}`-orientation for odd `n`): unsatisfiability
-//! for a given `n` is decided exactly.
+//! classification tables: unsatisfiability for a given `n` is decided
+//! exactly. [`solvable`] first asks [`crate::counting`] for a checked
+//! double-counting certificate (Lemma 24: no `{1,3}`-orientation for odd
+//! `n`; the GF(2) and GF(3) rows of Theorem 22) and reaches SAT only
+//! without one, since parity formulas are hard for resolution. [`solve`]
+//! is SAT alone. Edge `2d`-colouring (Theorem 21) has a certificate too,
+//! but its alphabet `k²` is above [`crate::counting::MAX_ALPHABET`].
 //!
 //! Encodings exploit problem structure (edge colours and orientations get
 //! their own variables) so that instances stay small; the generic
 //! [`GridProblem::Block`] fallback enumerates forbidden blocks and is
 //! limited to small alphabets.
 
+use crate::counting;
 use crate::lcl::{GridProblem, Label};
 use crate::problems::{edge_label_encode, edge_label_encode_d};
 use lcl_grid::{Dir4, Torus2, TorusD};
@@ -70,10 +75,16 @@ pub fn solve_budgeted(
 }
 
 /// True iff the problem has a solution on this torus.
+///
+/// A constant solution answers `true`, and a [`counting::rules_out`]
+/// certificate (accepted by its independent checker) answers `false`,
+/// both without a CNF; every other case is the SAT verdict of [`solve`].
 pub fn solvable(problem: &GridProblem, torus: &Torus2) -> bool {
-    // Cheap shortcut: a constant solution settles it.
     if problem.constant_solution().is_some() {
         return true;
+    }
+    if counting::rules_out(problem, torus).is_some() {
+        return false;
     }
     solve(problem, torus).is_some()
 }
@@ -174,11 +185,10 @@ fn encode_vertex(solver: &mut Solver, torus: &Torus2, k: u16) -> DecodeFn {
     }
     for v in 0..n {
         let p = torus.pos(v);
+        // On a 1-wide torus a node is its own neighbour, so no colouring
+        // is proper there — as `GridProblem::check` sees it.
         for q in [torus.step(p, Dir4::East), torus.step(p, Dir4::North)] {
             let u = torus.index(q);
-            if u == v {
-                continue;
-            }
             for (&mine, &theirs) in vars[v].iter().zip(&vars[u]) {
                 solver.add_clause([Lit::neg(mine), Lit::neg(theirs)]);
             }
@@ -210,14 +220,11 @@ fn encode_edge(solver: &mut Solver, torus: &Torus2, k: u16) -> DecodeFn {
         let w = torus.index(torus.step(p, Dir4::West));
         let s = torus.index(torus.step(p, Dir4::South));
         // Four incident edge colour variable groups; all pairwise distinct.
+        // On a 1-wide torus the same group is seen twice, which no
+        // colouring satisfies — as `GridProblem::check` sees it.
         let groups = [&east[v], &north[v], &east[w], &north[s]];
         for i in 0..4 {
             for j in i + 1..4 {
-                if std::ptr::eq(groups[i], groups[j]) {
-                    // Degenerate tiny torus: the same physical edge seen
-                    // twice; skip the vacuous inequality.
-                    continue;
-                }
                 for (&mine, &theirs) in groups[i].iter().zip(groups[j]) {
                     solver.add_clause([Lit::neg(mine), Lit::neg(theirs)]);
                 }
@@ -286,19 +293,9 @@ fn encode_block(solver: &mut Solver, torus: &Torus2, lcl: &crate::lcl::BlockLcl)
         "generic block encoding is limited to live alphabets of size ≤ 16"
     );
     let n = torus.node_count();
-    let degenerate = torus.width() == 1 || torus.height() == 1;
-    if live.is_empty() {
-        // No allowed blocks at all: every real 2×2 window is forbidden.
-        // Degenerate 1-wide tori have no such window (mirroring the
-        // checker's skip below), so any labelling is valid there;
-        // otherwise the instance is unsatisfiable.
-        if !degenerate {
-            let v = solver.new_vars(1)[0];
-            solver.add_clause([Lit::pos(v)]);
-            solver.add_clause([Lit::neg(v)]);
-        }
-        return Box::new(move |_| vec![0; n]);
-    }
+    // With no live label (no allowed block), each cell's exactly-one
+    // constraint is the empty clause: unsatisfiable, as every torus has a
+    // window.
     let vars: Vec<Vec<Var>> = (0..n).map(|_| solver.new_vars(live.len())).collect();
     for vc in &vars {
         let lits: Vec<Lit> = vc.iter().map(|&x| Lit::pos(x)).collect();
@@ -306,16 +303,14 @@ fn encode_block(solver: &mut Solver, torus: &Torus2, lcl: &crate::lcl::BlockLcl)
     }
     for v in 0..n {
         let p = torus.pos(v);
+        // Every window, as `GridProblem::check` reads it: on a 1-wide
+        // torus corners coincide and the clause constrains one cell twice.
         let corners = [
             v,
             torus.index(torus.offset(p, 1, 0)),
             torus.index(torus.offset(p, 0, 1)),
             torus.index(torus.offset(p, 1, 1)),
         ];
-        // Skip degenerate blocks on 1-wide tori (corners coincide).
-        if corners[1] == corners[0] || corners[2] == corners[0] {
-            continue;
-        }
         for (isw, &sw) in live.iter().enumerate() {
             for (ise, &se) in live.iter().enumerate() {
                 for (inw, &nw) in live.iter().enumerate() {
@@ -558,6 +553,39 @@ mod tests {
         let p = problems::vertex_colouring(2);
         assert!(solvable(&p, &Torus2::rect(4, 6)));
         assert!(!solvable(&p, &Torus2::rect(4, 5)));
+    }
+
+    #[test]
+    fn one_wide_tori_encode_every_window() {
+        // On a 1-wide torus a window's corners coincide; the checker still
+        // reads every window, so SAT must agree with it.
+        let two = GridProblem::Block(crate::lcl::BlockLcl::from_pairs(
+            2,
+            |a, b| a != b,
+            |a, b| a != b,
+        ));
+        let empty = GridProblem::Block(crate::lcl::BlockLcl::new(2));
+        for torus in [Torus2::rect(1, 4), Torus2::rect(4, 1), Torus2::square(1)] {
+            for p in [
+                &two,
+                &empty,
+                &problems::vertex_colouring(3),
+                &problems::edge_colouring(5),
+            ] {
+                assert_eq!(solve(p, &torus), None, "{} on {torus:?}", p.name());
+                assert!(!solvable(p, &torus), "{} on {torus:?}", p.name());
+            }
+        }
+        // What the checker accepts there, SAT finds: stripes along the
+        // long axis of a 1×4 torus.
+        let stripes = GridProblem::Block(crate::lcl::BlockLcl::from_pairs(
+            2,
+            |a, b| a == b,
+            |a, b| a != b,
+        ));
+        let torus = Torus2::rect(1, 4);
+        let labels = solve(&stripes, &torus).expect("alternating rows");
+        assert!(stripes.check(&torus, &labels).is_ok());
     }
 
     #[test]

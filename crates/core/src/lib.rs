@@ -19,6 +19,10 @@
 //! * [`existence`] — a SAT-based per-`n` existence solver (the `Θ(n)`
 //!   brute-force baseline, and the tool behind the impossibility rows of
 //!   the classification tables).
+//! * [`counting`] — linear counting certificates: the double-counting
+//!   lower bounds of Theorem 21 and Lemma 24 as domino potentials modulo
+//!   `p`, with a finder and an independent checker; [`existence::solvable`]
+//!   consults them before SAT.
 //! * [`cycles`] — the 1-dimensional warm-up (§4): the output neighbourhood
 //!   graph, flexible states, the decidable classifier and optimal
 //!   synthesis on directed cycles.
@@ -37,6 +41,7 @@
 pub mod canonical;
 pub mod census;
 pub mod classify;
+pub mod counting;
 pub mod cycles;
 pub mod existence;
 pub mod lcl;

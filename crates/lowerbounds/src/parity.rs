@@ -3,9 +3,10 @@
 //! Both arguments are double counting: in a `d`-dimensional grid with
 //! `n^d` nodes, a perfect matching colour class (edge `2d`-colouring) or a
 //! fixed odd/even in-degree census (`{1,3}`-orientation) forces `n^d` to
-//! be even. The functions here evaluate the counting argument; the SAT
-//! existence solver (`lcl_core::existence`) confirms them exactly on
-//! small instances.
+//! be even. The functions here evaluate the counting argument in closed
+//! form. The tests confirm them against two independent oracles: SAT
+//! alone (`lcl_core::existence::solve`) and the checked linear
+//! certificates of `lcl_core::counting`.
 
 /// Theorem 21: an edge `2d`-colouring of the `d`-dimensional torus with
 /// side `n` forces every colour class to be a perfect matching, so `n^d`
@@ -26,16 +27,19 @@ pub fn orientation_13_impossible(n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_core::existence;
     use lcl_core::problems::{self, XSet};
+    use lcl_core::{counting, existence};
     use lcl_grid::Torus2;
+
+    // `existence::solve` is SAT alone; `existence::solvable` would consult
+    // the counting certificates these tests compare against.
 
     #[test]
     fn counting_agrees_with_sat_for_edge_colouring() {
         for n in 3..=6 {
             let predicted_impossible = edge_2d_colouring_impossible(2, n);
             let sat_solvable =
-                existence::solvable(&problems::edge_colouring(4), &Torus2::square(n));
+                existence::solve(&problems::edge_colouring(4), &Torus2::square(n)).is_some();
             assert_eq!(predicted_impossible, !sat_solvable, "disagreement at n={n}");
         }
     }
@@ -44,11 +48,21 @@ mod tests {
     fn counting_agrees_with_sat_for_orientation_13() {
         for n in 3..=6 {
             let predicted_impossible = orientation_13_impossible(n);
-            let sat_solvable = existence::solvable(
+            let sat_solvable = existence::solve(
                 &problems::orientation(XSet::from_degrees(&[1, 3])),
                 &Torus2::square(n),
-            );
+            )
+            .is_some();
             assert_eq!(predicted_impossible, !sat_solvable, "disagreement at n={n}");
+        }
+    }
+
+    #[test]
+    fn orientation_13_agrees_with_the_counting_certificates() {
+        let problem = problems::orientation(XSet::from_degrees(&[1, 3]));
+        for n in 1..=12 {
+            let certified = counting::rules_out(&problem, &Torus2::square(n)).is_some();
+            assert_eq!(orientation_13_impossible(n), certified, "n={n}");
         }
     }
 

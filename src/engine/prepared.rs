@@ -486,8 +486,11 @@ impl PreparedProblem {
     /// instance's topology and dimensions (independent of round budgets
     /// and identifier assignments).
     ///
-    /// On 2-d tori (and lowered `d = 2` instances) this is the exact SAT
-    /// existence question; on higher-dimensional tori it is answered by
+    /// On 2-d tori (and lowered `d = 2` instances) this is the exact
+    /// [`existence::solvable`] verdict: a constant solution, else a
+    /// double-counting certificate (`lcl_core::counting`, checked
+    /// independently) that rules the torus out, else SAT. On
+    /// higher-dimensional tori it is answered by
     /// the paper's counting arguments where those apply (Theorem 21 for
     /// edge `2d`-colouring, §10 for larger palettes, the Cartesian-product
     /// chromatic bound for vertex colouring); unsupported pairs come back
