@@ -360,7 +360,7 @@ pub fn analyze_block(name: &str, lcl: &BlockLcl) -> Analysis {
 /// and the map is the identity — the soundness contract behind feeding
 /// pruned tables to encoders (DESIGN.md §11).
 pub fn prune_dead_labels(lcl: &BlockLcl) -> (BlockLcl, Vec<Label>) {
-    let keep = live_labels(lcl);
+    let keep = lcl.live_labels();
     if keep.len() == usize::from(lcl.alphabet()) {
         return (lcl.clone(), keep);
     }
@@ -405,21 +405,6 @@ fn sort_by_code(analysis: &mut Analysis) {
     analysis.diagnostics.sort_by_key(|d| d.code);
 }
 
-/// The labels that occur in at least one allowed block, in increasing
-/// order. (Mirrors [`BlockLcl::live_labels`]; kept here so the analysis
-/// is self-contained.)
-fn live_labels(lcl: &BlockLcl) -> Vec<Label> {
-    let mut seen = vec![false; usize::from(lcl.alphabet())];
-    for block in lcl.allowed_blocks() {
-        for l in block {
-            seen[usize::from(l)] = true;
-        }
-    }
-    (0..lcl.alphabet())
-        .filter(|&l| seen[usize::from(l)])
-        .collect()
-}
-
 /// All block-table passes: L001 (dead labels), L002 (arc-consistency
 /// closure), L003 (constant solution), L005 (axis factorisation), L006
 /// (transpose symmetry).
@@ -434,7 +419,7 @@ fn block_passes(name: &str, lcl: &BlockLcl, span: Option<Span>, analysis: &mut A
 
     // L001: dead labels in the table itself (compiled `lcl-lang` tables
     // never contain any — the compiler prunes — but raw tables can).
-    let live = live_labels(lcl);
+    let live = lcl.live_labels();
     analysis.dead = (0..lcl.alphabet()).filter(|l| !live.contains(l)).collect();
     for &l in &analysis.dead {
         analysis.diagnostics.push(attach(Diagnostic::new(

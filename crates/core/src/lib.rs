@@ -15,7 +15,8 @@
 //!   records of `lcl-atlas` artifacts, read and written by `lcl-atlas`
 //!   and the engine's atlas lookup alike.
 //! * [`problems`] — the concrete problem library: vertex and edge
-//!   colourings, `X`-orientations, maximal independent sets.
+//!   colourings, `X`-orientations, maximal independent sets; their
+//!   native validators and their reading on `d`-dimensional tori.
 //! * [`existence`] — a SAT-based per-`n` existence solver (the `Θ(n)`
 //!   brute-force baseline, and the tool behind the impossibility rows of
 //!   the classification tables).

@@ -208,7 +208,7 @@ type JobRef<'a> = (&'a Arc<PreparedProblem>, &'a Instance, Option<&'a Budget>);
 /// which both namespaces groups per problem — two problems over
 /// instances with identical dims and ids can never collide — and keeps
 /// jobs from differently-configured engines apart: two handles may share
-/// a cache key yet disagree on seed, profile, budget, or validation
+/// a cache key yet disagree on seed, budget, or validation
 /// policy, so only handle identity guarantees interchangeable outputs.
 /// Nothing is lost within one engine, where `prepare` memoises key-equal
 /// specs onto one `Arc` (the hash still folds the cache key in, so the

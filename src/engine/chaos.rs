@@ -64,17 +64,13 @@ impl FaultPoint {
 
 /// What to inject and how often. `None`/`0` disables a point. A period of
 /// `p` fires *pseudo-randomly* at rate `1/p` on a schedule fully
-/// determined by the seed; `panic_at` instead fires *exactly once*, at
-/// the given 1-based dispatch ordinal (the "panic at the Nth solve"
-/// knob).
+/// determined by the seed.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Seed of the fault schedule.
     pub seed: u64,
     /// Fire `SolvePanic` at rate `1/p`.
     pub solve_panic_period: Option<u64>,
-    /// Fire `SolvePanic` exactly once, at this 1-based solver dispatch.
-    pub panic_at: Option<u64>,
     /// Fire `SolveLatency` at rate `1/p`.
     pub solve_latency_period: Option<u64>,
     /// The injected latency when `SolveLatency` fires.
@@ -88,7 +84,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             solve_panic_period: None,
-            panic_at: None,
             solve_latency_period: None,
             solve_latency: Duration::from_millis(1),
         }
@@ -101,7 +96,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             solve_panic_period: Some(7),
-            panic_at: None,
             solve_latency_period: Some(5),
             solve_latency: Duration::from_millis(2),
         }
@@ -159,15 +153,11 @@ impl ChaosState {
     pub fn should(&self, point: FaultPoint) -> bool {
         let i = point.index();
         let ordinal = self.counters[i].fetch_add(1, Ordering::Relaxed) + 1;
-        let fires = if point == FaultPoint::SolvePanic && self.config.panic_at.is_some() {
-            self.config.panic_at == Some(ordinal)
-        } else {
-            match self.period(point) {
-                Some(p) if p > 0 => {
-                    splitmix64(self.config.seed ^ point.salt() ^ ordinal).is_multiple_of(p)
-                }
-                _ => false,
+        let fires = match self.period(point) {
+            Some(p) if p > 0 => {
+                splitmix64(self.config.seed ^ point.salt() ^ ordinal).is_multiple_of(p)
             }
+            _ => false,
         };
         if fires {
             self.injected[i].fetch_add(1, Ordering::Relaxed);
@@ -263,18 +253,6 @@ mod tests {
             .collect();
         // Same period, same seed, same ordinals — but different salts.
         assert_ne!(panics, delays);
-    }
-
-    #[test]
-    fn panic_at_exact_ordinal() {
-        let mut config = ChaosConfig::quiet(9);
-        config.panic_at = Some(3);
-        let s = ChaosState::new(config);
-        assert!(!s.should(FaultPoint::SolvePanic));
-        assert!(!s.should(FaultPoint::SolvePanic));
-        assert!(s.should(FaultPoint::SolvePanic));
-        assert!(!s.should(FaultPoint::SolvePanic));
-        assert_eq!(s.injected(FaultPoint::SolvePanic), 1);
     }
 
     #[test]

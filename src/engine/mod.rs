@@ -86,7 +86,6 @@ pub use spec::{ProblemSpec, Topology};
 pub use stream::{JobOutcome, SolveStream, JOBS_ITERATOR_PANICKED};
 
 use lcl_algorithms::corner::{BoundaryGrid, PseudoForest};
-use lcl_algorithms::Profile;
 use lcl_core::classify::GridClass;
 use lcl_core::Label;
 use lcl_local::Rounds;
@@ -293,7 +292,6 @@ pub(crate) fn budget_error(tier: &str, budget: &Budget, e: lcl_sat::BudgetExceed
 /// policy — not a problem: problems arrive per call, through
 /// [`Engine::prepare`] and the convenience entry points.
 pub struct EngineBuilder {
-    profile: Profile,
     rounds_budget: Option<u64>,
     max_synthesis_k: usize,
     seed: Option<u64>,
@@ -308,13 +306,6 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Parameter profile for the hand-built constructions (default:
-    /// [`Profile::Practical`]).
-    pub fn profile(mut self, profile: Profile) -> EngineBuilder {
-        self.profile = profile;
-        self
-    }
-
     /// Reject solutions that need more LOCAL rounds than this budget
     /// (default: unlimited). The engine falls through to cheaper solvers
     /// and reports [`SolveError::RoundBudgetExceeded`] if none fits.
@@ -448,7 +439,6 @@ impl EngineBuilder {
             chaos: self.chaos.map(|config| Arc::new(ChaosState::new(config))),
             atlas: self.atlas,
             opts: PlanOptions {
-                profile: self.profile,
                 max_synthesis_k: self.max_synthesis_k,
                 seed: self.seed,
             },
@@ -561,7 +551,6 @@ impl Engine {
     pub fn builder() -> EngineBuilder {
         EngineBuilder {
             atlas: None,
-            profile: Profile::Practical,
             rounds_budget: None,
             max_synthesis_k: 3,
             seed: None,
@@ -782,22 +771,6 @@ impl Engine {
         self.prepare(spec)?.solve(inst)
     }
 
-    /// [`Engine::solve`] under a cooperative [`Budget`] (deadline, step
-    /// quota, cancellation token). See [`PreparedProblem::solve_with`]
-    /// for the degradation contract: a timed-out tier falls back to the
-    /// next registry tier when one completes in time, otherwise the call
-    /// returns typed [`SolveError::DeadlineExceeded`] /
-    /// [`SolveError::Cancelled`] — and the engine, its caches, and the
-    /// plan stay fully reusable.
-    pub fn solve_with(
-        &self,
-        spec: &ProblemSpec,
-        inst: &Instance,
-        budget: &Budget,
-    ) -> Result<Labelling, SolveError> {
-        self.prepare(spec)?.solve_with(inst, budget)
-    }
-
     /// Convenience: prepares the problem (memoised) and decides whether it
     /// has *any* valid labelling on the instance's topology and
     /// dimensions. See [`PreparedProblem::solvable`].
@@ -809,17 +782,6 @@ impl Engine {
     /// the torus landscape. See [`PreparedProblem::classify`].
     pub fn classify(&self, spec: &ProblemSpec) -> Result<GridClass, SolveError> {
         self.prepare(spec)?.classify()
-    }
-
-    /// [`Engine::classify`] under a cooperative [`Budget`]. A budget trip
-    /// mid-synthesis returns a typed error *without* memoising a verdict:
-    /// the classification cache only ever holds completed computations.
-    pub fn classify_with(
-        &self,
-        spec: &ProblemSpec,
-        budget: &Budget,
-    ) -> Result<GridClass, SolveError> {
-        self.prepare(spec)?.classify_with(budget)
     }
 }
 

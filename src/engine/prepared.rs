@@ -14,13 +14,13 @@
 use super::chaos::ChaosState;
 use super::health::{attempt_end, AttemptVerdict, Health};
 use super::registry::{self, PlanOptions, Registry};
-use super::spec::{self, ProblemSpec, Topology};
+use super::spec::{ProblemSpec, Topology};
 use super::{
     budget_error, Complexity, Instance, Labelling, Solve, SolveError, SolveReport,
     DEBUG_VALIDATION_MAX_NODES,
 };
 use lcl_core::classify::GridClass;
-use lcl_core::existence;
+use lcl_core::{existence, problems};
 use lcl_grid::CycleGraph;
 use lcl_local::Simulator;
 use lcl_sat::Budget;
@@ -490,11 +490,13 @@ impl PreparedProblem {
     /// [`existence::solvable`] verdict: a constant solution, else a
     /// double-counting certificate (`lcl_core::counting`, checked
     /// independently) that rules the torus out, else SAT. On
-    /// higher-dimensional tori it is answered by
-    /// the paper's counting arguments where those apply (Theorem 21 for
-    /// edge `2d`-colouring, §10 for larger palettes, the Cartesian-product
-    /// chromatic bound for vertex colouring); unsupported pairs come back
-    /// as [`SolveError::UnsupportedTopology`].
+    /// higher-dimensional tori it is the verdict of the problem's
+    /// d-dimensional reading, [`DdimSemantics::solvable`]: the paper's
+    /// closed forms for the colourings (Theorem 21, §10, the
+    /// Cartesian-product chromatic bound) and pairwise SAT otherwise.
+    /// Unsupported pairs come back as [`SolveError::UnsupportedTopology`].
+    ///
+    /// [`DdimSemantics::solvable`]: lcl_core::problems::DdimSemantics::solvable
     pub fn solvable(&self, inst: &Instance) -> Result<bool, SolveError> {
         let lowered = inst.lower_d2();
         let inst = lowered.as_ref().unwrap_or(inst);
@@ -524,48 +526,13 @@ impl PreparedProblem {
                 Ok(existence::solvable(problem, &gi.torus()))
             }
             Instance::TorusD(di) => {
-                use lcl_core::GridProblem;
-                let n = di.side();
-                let d = di.dim();
-                if n == 1 {
-                    // A side-1 torus has no edges: everything labels.
-                    return Ok(true);
-                }
-                match self.spec.grid_problem() {
-                    Some(GridProblem::EdgeColouring { k }) => {
-                        let k = usize::from(*k);
-                        if k < 2 * d {
-                            Ok(false) // fewer colours than the degree
-                        } else if k == 2 * d {
-                            Ok(n % 2 == 0) // Theorem 21, exactly
-                        } else {
-                            Ok(true) // §10: 2d+1 colours always suffice
-                        }
-                    }
-                    Some(GridProblem::VertexColouring { k }) => {
-                        // χ of a Cartesian product of cycles is
-                        // max over the factors: 2 for even n, 3 for odd.
-                        let chi = if n % 2 == 0 { 2 } else { 3 };
-                        Ok(usize::from(*k) >= chi)
-                    }
-                    Some(p) => match spec::ddim_semantics(p, d) {
-                        Some(spec::DdimSemantics::IndependentSet) => Ok(true),
-                        Some(spec::DdimSemantics::Pairwise(pairs)) => {
-                            // The d-dimensional SAT existence encoder:
-                            // exact verdicts for axis-symmetric pairwise
-                            // problems (compiled lcl-lang definitions
-                            // included) beyond the tabulated formulas.
-                            Ok(
-                                existence::solve_pairwise_d(di.torus(), p.alphabet(), &pairs)
-                                    .is_some(),
-                            )
-                        }
-                        _ => Err(unsupported(
-                            "existence is not tabulated for this problem in d ≥ 3".to_string(),
-                        )),
-                    },
-                    None => Err(unsupported("not a block problem".to_string())),
-                }
+                let torus = di.torus();
+                let reading = self
+                    .spec
+                    .grid_problem()
+                    .and_then(|p| problems::ddim_semantics(p, torus.dim()))
+                    .ok_or_else(|| unsupported("not a block problem".to_string()))?;
+                Ok(reading.solvable(torus))
             }
         }
     }

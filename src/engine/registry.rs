@@ -39,8 +39,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// Options the registry consults when planning solvers for a problem.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanOptions {
-    /// Parameter profile for the hand-built constructions.
-    pub profile: Profile,
     /// Largest anchor spacing `k` synthesis may try.
     pub max_synthesis_k: usize,
     /// Seed for the SAT fallback's branching phases (solution sampling).
@@ -50,7 +48,6 @@ pub struct PlanOptions {
 impl Default for PlanOptions {
     fn default() -> PlanOptions {
         PlanOptions {
-            profile: Profile::Practical,
             max_synthesis_k: 3,
             seed: None,
         }
@@ -296,11 +293,11 @@ impl Registry {
         match problem {
             GridProblem::VertexColouring { k: 4 } => plan.push(Box::new(BallCarvingSolver {
                 problem: spec.name().to_string(),
-                algo: FourColouring::new(opts.profile),
+                algo: FourColouring::new(Profile::Practical),
             })),
             GridProblem::EdgeColouring { k: 5 } => plan.push(Box::new(CutAndColourSolver {
                 problem: spec.name().to_string(),
-                algo: EdgeColouring::new(opts.profile),
+                algo: EdgeColouring::new(Profile::Practical),
             })),
             _ => {}
         }

@@ -16,7 +16,7 @@ use super::instance::Instance;
 use lcl_algorithms::corner;
 use lcl_analyze::Analysis;
 use lcl_core::lcl::{Block, BlockLcl};
-use lcl_core::problems::{self, XSet};
+use lcl_core::problems::{self, ddim_semantics, DdimSemantics, XSet};
 use lcl_core::{GridProblem, Label, Violation};
 use lcl_grid::{Metric, Torus2, TorusD};
 use lcl_lang::LangError;
@@ -335,7 +335,7 @@ impl ProblemSpec {
                 // the constant labelling in every dimension.
                 matches!(
                     ddim_semantics(p, 3),
-                    Some(DdimSemantics::IndependentSet | DdimSemantics::Pairwise(_))
+                    Some(DdimSemantics::IndependentSet | DdimSemantics::Pairwise { .. })
                 )
                 .then(|| p.constant_solution())
                 .flatten()
@@ -388,27 +388,7 @@ impl ProblemSpec {
             (SpecKind::Grid(p), Instance::TorusD(di)) => {
                 let torus = di.torus();
                 match ddim_semantics(p, torus.dim()) {
-                    Some(DdimSemantics::VertexColouring { k }) => {
-                        check_named(problems::is_proper_vertex_colouring_d(torus, labels, k))
-                            .map_err(|()| format!("not a proper vertex {k}-colouring of {torus:?}"))
-                    }
-                    Some(DdimSemantics::EdgeColouring { k }) => {
-                        check_named(problems::is_proper_edge_colouring_d(torus, labels, k))
-                            .map_err(|()| format!("not a proper edge {k}-colouring of {torus:?}"))
-                    }
-                    Some(DdimSemantics::IndependentSet) => {
-                        check_named(problems::is_independent_set_d(torus, labels))
-                            .map_err(|()| format!("label-1 nodes not independent in {torus:?}"))
-                    }
-                    Some(DdimSemantics::Pairwise(pairs)) => check_named(
-                        problems::is_pairwise_valid_d(torus, labels, p.alphabet(), &pairs),
-                    )
-                    .map_err(|()| {
-                        format!(
-                            "an adjacent pair violates the axis relation of {} on {torus:?}",
-                            self.name
-                        )
-                    }),
+                    Some(reading) => reading.check(torus, labels),
                     None => Err(format!(
                         "{} has no {}-dimensional semantics",
                         self.name,
@@ -453,62 +433,6 @@ fn check_named(ok: bool) -> Result<(), ()> {
     } else {
         Err(())
     }
-}
-
-/// The d-dimensional reading of a 2-d grid problem, when one exists.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum DdimSemantics {
-    /// Proper vertex `k`-colouring of the d-dimensional torus graph.
-    VertexColouring { k: u16 },
-    /// Proper edge `k`-colouring under the owner convention.
-    EdgeColouring { k: u16 },
-    /// Label-1 nodes form an independent set.
-    IndependentSet,
-    /// The block predicate factors into one pair relation applied along
-    /// both axes, so the problem reads as "that relation on every
-    /// adjacent pair" in any dimension. This is how compiled `lcl-lang`
-    /// problems built from edge-set sugar gain `d ≥ 3` existence
-    /// verdicts and validation. Carries the relation table
-    /// ([`BlockLcl::axis_symmetric_pairs`]) so the `O(|Σ|⁴)` derivation
-    /// runs once per query, not once per consumer.
-    Pairwise(Vec<bool>),
-}
-
-/// Which 2-d problems generalise to `d ≥ 3` tori with well-defined
-/// semantics. Vertex and edge colouring carry over verbatim (the torus
-/// graph just becomes `2d`-regular; edge labels need `k^d` to fit the
-/// label space); block problems carry over exactly when their predicate
-/// factors into a single axis-symmetric pair relation (the independent
-/// set, kept as its own variant for its dedicated validator, and the
-/// general [`DdimSemantics::Pairwise`] case). Orientations,
-/// MIS-with-pointers and non-decomposable block LCLs constrain oriented
-/// 2×2 windows, which have no canonical d-dimensional counterpart — they
-/// stay 2-d.
-pub(crate) fn ddim_semantics(problem: &GridProblem, d: usize) -> Option<DdimSemantics> {
-    match problem {
-        GridProblem::VertexColouring { k } => Some(DdimSemantics::VertexColouring { k: *k }),
-        GridProblem::EdgeColouring { k } => {
-            // The mixed-radix label encoding must fit: k^d ≤ Label::MAX+1.
-            problems::edge_label_encode_d(&vec![0; d], *k)
-                .map(|_| DdimSemantics::EdgeColouring { k: *k })
-        }
-        GridProblem::Block(b) if b.alphabet() == 2 && is_independent_set_block(b) => {
-            Some(DdimSemantics::IndependentSet)
-        }
-        GridProblem::Block(b) => b.axis_symmetric_pairs().map(DdimSemantics::Pairwise),
-        _ => None,
-    }
-}
-
-/// True iff a 2-label block LCL is exactly the independent-set predicate
-/// (no two adjacent 1s, in both directions) — the one block problem whose
-/// pairwise reading generalises to any dimension.
-fn is_independent_set_block(b: &BlockLcl) -> bool {
-    let reference = problems::independent_set();
-    (0u16..16).all(|i| {
-        let block: Block = [i & 1, (i >> 1) & 1, (i >> 2) & 1, (i >> 3) & 1];
-        b.block_allowed(block) == reference.block_allowed(block)
-    })
 }
 
 impl fmt::Display for ProblemSpec {

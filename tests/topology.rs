@@ -6,6 +6,7 @@
 //! pairs.
 
 use lcl_grids::core::problems::{self, XSet};
+use lcl_grids::core::GridProblem;
 use lcl_grids::engine::{Engine, Instance, ProblemSpec, Registry, SolveError, Topology};
 use lcl_grids::grid::{Metric, Torus2, TorusD};
 use lcl_grids::local::IdAssignment;
@@ -289,4 +290,61 @@ fn check_instance_covers_all_topologies() {
     let corner = ProblemSpec::corner_coordination();
     let flat = Instance::square(4, &IdAssignment::Sequential);
     assert!(corner.check_instance(&flat, &[0; 16]).is_err());
+}
+
+/// One side-1 rule in every dimension: on the degenerate tori (side 1 for
+/// d ∈ {2, 3}, and side 2 for d = 3 where the problem's labels are few)
+/// `PreparedProblem::solvable` answers exactly whether some labelling
+/// passes `check_instance`, decided here by brute force over every
+/// labelling.
+#[test]
+fn solvable_agrees_with_brute_force_on_degenerate_tori() {
+    let pairwise =
+        ProblemSpec::compile("problem two-colouring { alphabet { black, white } edges differ }")
+            .unwrap();
+    // (problem, whether its labellings of the side-2 3-d torus are few
+    // enough to enumerate)
+    let cases = [
+        (ProblemSpec::vertex_colouring(2), true),
+        (ProblemSpec::vertex_colouring(3), true),
+        (ProblemSpec::edge_colouring(5), false),
+        (ProblemSpec::edge_colouring(6), false),
+        (ProblemSpec::edge_colouring(7), false),
+        (ProblemSpec::independent_set(), false),
+        (pairwise, true),
+    ];
+    let engine = Engine::builder().max_synthesis_k(1).build();
+    for (spec, side_two) in &cases {
+        let prepared = engine.prepare(spec).unwrap();
+        let mut tori = vec![(2, 1), (3, 1)];
+        if *side_two {
+            tori.push((3, 2));
+        }
+        for (d, n) in tori {
+            let inst = Instance::torus_d(d, n, &IdAssignment::Sequential);
+            // Edge labels carry d owned colours, so the label space is k^d.
+            let labels = match spec.grid_problem() {
+                Some(GridProblem::EdgeColouring { k }) => u32::from(*k).pow(d as u32),
+                _ => u32::from(spec.alphabet()),
+            };
+            let mut labelling = vec![0u16; inst.node_count()];
+            let exists = loop {
+                if spec.check_instance(&inst, &labelling).is_ok() {
+                    break true;
+                }
+                // The next labelling in mixed-radix order, or stop.
+                let Some(i) = labelling.iter().position(|&l| u32::from(l) + 1 < labels) else {
+                    break false;
+                };
+                labelling[i] += 1;
+                labelling[..i].fill(0);
+            };
+            assert_eq!(
+                prepared.solvable(&inst),
+                Ok(exists),
+                "{} on the {d}-d torus of side {n}",
+                spec.name()
+            );
+        }
+    }
 }
