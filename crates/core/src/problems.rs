@@ -83,9 +83,14 @@ pub fn vertex_colouring(k: u16) -> GridProblem {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`.
+/// Panics if `k == 0`, or if `k > 255`: the `k²` labels must fit the
+/// `u16` label space.
 pub fn edge_colouring(k: u16) -> GridProblem {
     assert!(k > 0);
+    assert!(
+        k <= 255,
+        "edge {k}-colouring has {k}² labels, more than a u16 holds"
+    );
     GridProblem::EdgeColouring { k }
 }
 

@@ -83,9 +83,18 @@ pub fn parse_problem(problem: &Json) -> Result<ProblemSpec, ApiError> {
     match kind {
         "vertex-colouring" | "edge-colouring" => {
             let k = require_usize(problem, "k")?;
-            let k = u16::try_from(k).ok().filter(|k| *k >= 1).ok_or_else(|| {
-                ApiError::bad_request("bad-field", "field 'k' must be in 1..=65535")
-            })?;
+            // Edge colourings label by colour pairs: k² must fit a u16.
+            let max = if kind == "vertex-colouring" {
+                65535
+            } else {
+                255
+            };
+            let k = u16::try_from(k)
+                .ok()
+                .filter(|k| (1..=max).contains(k))
+                .ok_or_else(|| {
+                    ApiError::bad_request("bad-field", format!("field 'k' must be in 1..={max}"))
+                })?;
             Ok(if kind == "vertex-colouring" {
                 ProblemSpec::vertex_colouring(k)
             } else {
@@ -303,13 +312,15 @@ mod tests {
         for src in [
             r#"{"type":"vertex-colouring"}"#,
             r#"{"type":"vertex-colouring","k":0}"#,
+            r#"{"type":"edge-colouring","k":256}"#,
             r#"{"type":"orientation","degrees":[9]}"#,
             r#"{"type":"orientation","degrees":[]}"#,
             r#"{"type":"mystery"}"#,
             r#"{"type":"dsl","source":"not a program"}"#,
             r#"{}"#,
         ] {
-            assert!(parse_problem(&decode(src)).is_err(), "accepted {src}");
+            let err = parse_problem(&decode(src)).expect_err(src);
+            assert_eq!(err.status, 400, "{src}");
         }
     }
 

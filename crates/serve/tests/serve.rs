@@ -963,14 +963,16 @@ fn analyze_endpoint_returns_the_full_report() {
     );
     assert_eq!(report.get("unsolvable").unwrap().as_bool(), None); // null
 
-    // Problems without a radius-1 block form are a typed 422.
-    let (status, body) = post(
-        addr,
-        "/analyze",
+    // Problems without a radius-1 block form, and structured problems
+    // whose table exceeds 2^20 windows, are a typed 422.
+    for problem in [
         r#"{"problem":{"type":"mis-power","metric":"l1","k":2}}"#,
-    );
-    assert_eq!(status, 422, "{body}");
-    assert!(body.contains("no-analysis"), "{body}");
+        r#"{"problem":{"type":"vertex-colouring","k":300}}"#,
+    ] {
+        let (status, body) = post(addr, "/analyze", problem);
+        assert_eq!(status, 422, "{body}");
+        assert!(body.contains("no-analysis"), "{body}");
+    }
 
     server.shutdown();
     server.wait();

@@ -2,11 +2,10 @@
 //!
 //! Every entry point of the [`Engine`](crate::engine::Engine) —
 //! `solve`, `solve_batch`, `solvable` — takes an [`Instance`]: one enum
-//! over the three input families the paper classifies. Registry solvers
-//! declare which families they accept via
-//! [`Capabilities`](crate::engine::Capabilities), and the engine matches
-//! `(problem, topology)` pairs at dispatch time instead of hard-wiring
-//! the 2-d torus.
+//! over the three input families the paper classifies. Each tier of a
+//! registry plan declares which families it accepts, and the engine
+//! matches `(problem, topology)` pairs at dispatch time instead of
+//! hard-wiring the 2-d torus.
 //!
 //! A 2-dimensional [`Instance::TorusD`] is *canonically equivalent* to the
 //! corresponding [`Instance::Torus2`]: `TorusD::index` of `[x, y]` equals

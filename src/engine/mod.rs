@@ -81,7 +81,8 @@ pub use instance::Instance;
 pub use lcl_sat::{Budget, BudgetExceeded, CancelToken};
 pub use lcl_trace::{Cost, SolverCost, TierAttempt, TierOutcome};
 pub use prepared::PreparedProblem;
-pub use registry::{PlanOptions, Registry, SynthStats};
+use registry::PlanOptions;
+pub use registry::{Registry, SynthStats};
 pub use spec::{ProblemSpec, Topology};
 pub use stream::{JobOutcome, SolveStream, JOBS_ITERATOR_PANICKED};
 
@@ -93,74 +94,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Asymptotic round complexity a solver promises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Complexity {
-    /// `O(1)` rounds.
-    Constant,
-    /// `O(log* n)` rounds.
-    LogStar,
-    /// `Θ(√n)` rounds (corner coordination).
-    SqrtN,
-    /// `Θ(n)` rounds (gather everything).
-    Linear,
-}
-
-impl fmt::Display for Complexity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Complexity::Constant => write!(f, "O(1)"),
-            Complexity::LogStar => write!(f, "O(log* n)"),
-            Complexity::SqrtN => write!(f, "Θ(√n)"),
-            Complexity::Linear => write!(f, "Θ(n)"),
-        }
-    }
-}
-
-/// The family of topologies a solver accepts — the coarse dispatch
-/// dimension of [`Capabilities`]. Finer constraints (dimension-dependent
-/// palette sizes, parity of the side length) are the solver's own
-/// business and surface as typed per-instance errors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopologySupport {
-    /// Exactly the oriented 2-d torus.
-    Torus2,
-    /// Oriented tori of every dimension `d ≥ 2` (2-d instances are
-    /// presented to the solver in their `Torus2` form).
-    AnyTorusD,
-    /// Boundary grids.
-    Boundary,
-}
-
-impl TopologySupport {
-    /// True iff a solver with this support accepts an instance of the
-    /// given topology.
-    pub fn accepts(self, topology: Topology) -> bool {
-        matches!(
-            (self, topology),
-            (TopologySupport::Torus2, Topology::Torus2)
-                | (
-                    TopologySupport::AnyTorusD,
-                    Topology::Torus2 | Topology::TorusD { .. }
-                )
-                | (TopologySupport::Boundary, Topology::Boundary)
-        )
-    }
-}
-
-/// What a solver supports: consulted by the engine before dispatch.
-#[derive(Clone, Copy, Debug)]
-pub struct Capabilities {
-    /// The topology family the solver runs on.
-    pub topology: TopologySupport,
-    /// Smallest supported side length.
-    pub min_side: usize,
-    /// True if only equal side lengths are supported.
-    pub square_only: bool,
-    /// Promised asymptotic round complexity.
-    pub complexity: Complexity,
-}
 
 /// Metadata accompanying every labelling: which solver ran, what it
 /// charged the LOCAL-round ledger, and whether the output was re-checked.
@@ -245,27 +178,6 @@ pub struct Labelling {
     pub labels: Vec<Label>,
     /// Provenance and round accounting.
     pub report: SolveReport,
-}
-
-/// A solver the engine can dispatch to: the object the [`Registry`] hands
-/// out, and the extension point for new algorithm families. Solvers take
-/// the topology-polymorphic [`Instance`]; the engine only routes
-/// instances whose topology the solver's [`Capabilities`] accept.
-pub trait Solve: Send + Sync {
-    /// Stable solver name for reports and errors.
-    fn name(&self) -> &str;
-
-    /// What instances this solver accepts.
-    fn capabilities(&self) -> Capabilities;
-
-    /// Solves one instance under a cooperative [`Budget`], never
-    /// panicking on bad input. The engine checks the budget once before
-    /// every dispatch, so the closed-form constructions, which finish in
-    /// microseconds, ignore it. Solvers with unbounded search inside (the
-    /// SAT existence encoders, synthesis) check it at
-    /// propagation/fixpoint granularity and surface trips as
-    /// [`SolveError::DeadlineExceeded`] / [`SolveError::Cancelled`].
-    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError>;
 }
 
 /// Maps a tripped [`Budget`] to the engine's typed error surface: a
@@ -674,7 +586,7 @@ impl Engine {
     ) -> Result<Arc<PreparedProblem>, SolveError> {
         let plan = {
             let _span = lcl_trace::span(lcl_trace::SpanKind::Resolve, "registry-resolve");
-            self.registry.plan(spec, &self.opts)
+            Registry::plan(spec)
         };
         if plan.is_empty() {
             return Err(SolveError::NoSolver {

@@ -13,11 +13,10 @@
 
 use super::chaos::ChaosState;
 use super::health::{attempt_end, AttemptVerdict, Health};
-use super::registry::{self, PlanOptions, Registry};
+use super::registry::{self, Complexity, PlanOptions, Registry, Tier};
 use super::spec::{ProblemSpec, Topology};
 use super::{
-    budget_error, Complexity, Instance, Labelling, Solve, SolveError, SolveReport,
-    DEBUG_VALIDATION_MAX_NODES,
+    budget_error, Instance, Labelling, SolveError, SolveReport, DEBUG_VALIDATION_MAX_NODES,
 };
 use lcl_core::classify::GridClass;
 use lcl_core::{existence, problems};
@@ -96,7 +95,7 @@ const CROSS_CHECK: &str = "cv-protocol-cross-check";
 pub struct PreparedProblem {
     spec: ProblemSpec,
     cache_key: String,
-    plan: Vec<Box<dyn Solve>>,
+    plan: Vec<Tier>,
     registry: Arc<Registry>,
     opts: PlanOptions,
     rounds_budget: Option<u64>,
@@ -129,7 +128,7 @@ impl PreparedProblem {
     pub(crate) fn new(
         spec: ProblemSpec,
         cache_key: String,
-        plan: Vec<Box<dyn Solve>>,
+        plan: Vec<Tier>,
         registry: Arc<Registry>,
         opts: PlanOptions,
         rounds_budget: Option<u64>,
@@ -206,8 +205,8 @@ impl PreparedProblem {
     ///
     /// 2-dimensional `TorusD` instances are lowered to their canonical
     /// `Torus2` form first, then the plan is walked: solvers whose
-    /// [`super::Capabilities`] reject the instance's topology or size are
-    /// skipped, typed per-solver failures fall through to the next
+    /// capabilities (topology family, smallest side, square-only) reject
+    /// the instance are skipped, typed per-solver failures fall through to the next
     /// solver, and successful labellings are re-validated with the
     /// topology-native independent checker before being returned. A
     /// `(problem, topology)` pair no registered solver covers comes back
@@ -351,7 +350,7 @@ impl PreparedProblem {
                 lcl_trace::span(lcl_trace::SpanKind::Tier, name),
                 Instant::now(),
             ));
-            let result = self.run_tier(solver.as_ref(), inst, budget);
+            let result = self.run_tier(solver, inst, budget);
             let (outcome, verdict) = attempt_end(&result);
             attempt.outcome = Some(outcome);
             attempt.verdict = verdict;
@@ -447,7 +446,7 @@ impl PreparedProblem {
     /// round-ledger cross-check on the labelling it is about to return.
     fn run_tier(
         &self,
-        solver: &dyn Solve,
+        solver: &Tier,
         inst: &Instance,
         budget: &Budget,
     ) -> Result<Labelling, SolveError> {
@@ -462,7 +461,7 @@ impl PreparedProblem {
         budget
             .check()
             .map_err(|e| budget_error(solver.name(), budget, e))?;
-        let mut labelling = solver.solve(inst, budget)?;
+        let mut labelling = solver.run(&self.spec, &self.registry, &self.opts, inst, budget)?;
         if self.validate {
             let _vspan = lcl_trace::span(lcl_trace::SpanKind::Validation, "validate");
             self.spec

@@ -1,23 +1,22 @@
-//! Solver adapters and the `(problem, topology)` → solver registry.
+//! The closed solver plan and the `(problem, topology)` → plan registry.
 //!
-//! The registry owns the resolution policy "best available first", per
-//! topology family: a constant labelling when one exists (`O(1)`), then
-//! the hand-built §8/§10 constructions, then §7 normal-form synthesis
-//! (memoised per problem), then the d-dimensional constructions of
-//! Theorem 21, and finally the SAT-backed existence solver — the `Θ(n)`
-//! baseline that is exact but slow. Every solver declares the topology
-//! family it accepts ([`TopologySupport`]); the
-//! [`crate::engine::Engine`] walks this plan, skips solvers whose
-//! capabilities reject the instance, and falls through on typed errors.
-//! Corner coordination and the d-dimensional algorithms are first-class
-//! registered solvers, not side doors.
+//! The paper's algorithm design is a fixed menu, so a plan is a list of
+//! [`Tier`]s — one enum, not an extension point. The registry owns the
+//! resolution policy "best available first", per topology family: a
+//! constant labelling when one exists (`O(1)`), then the hand-built §8/§10
+//! constructions, then §7 normal-form synthesis (memoised per problem),
+//! then the d-dimensional constructions of Theorem 21, and finally the
+//! SAT-backed existence solver — the `Θ(n)` baseline that is exact but
+//! slow. Every tier declares the topology family it accepts
+//! ([`TopologySupport`]); the prepared plan walks the tiers, skips those
+//! whose capabilities reject the instance, and falls through on typed
+//! errors. Corner coordination and the d-dimensional algorithms are
+//! tiers like every other, not side doors.
 
 use super::error::SolveError;
 use super::instance::Instance;
 use super::spec::{ProblemSpec, Topology};
-use super::{
-    budget_error, Capabilities, Complexity, Labelling, Solve, SolveReport, TopologySupport,
-};
+use super::{budget_error, Labelling, SolveReport};
 use lcl_algorithms::corner::{self, BoundaryGrid};
 use lcl_algorithms::ddim;
 use lcl_algorithms::edge_colouring::EdgeColouring;
@@ -28,7 +27,7 @@ use lcl_core::problems::XSet;
 use lcl_core::synthesis::{
     synthesize_auto, synthesize_auto_budgeted, SynthRunError, SynthesizedAlgorithm,
 };
-use lcl_core::{existence, GridProblem};
+use lcl_core::{existence, GridProblem, Label};
 use lcl_grid::{Metric, TorusD};
 use lcl_local::{GridInstance, Rounds};
 use lcl_sat::{Budget, BudgetExceeded};
@@ -36,22 +35,70 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Options the registry consults when planning solvers for a problem.
+/// The engine options a plan runs under.
 #[derive(Clone, Copy, Debug)]
-pub struct PlanOptions {
+pub(crate) struct PlanOptions {
     /// Largest anchor spacing `k` synthesis may try.
-    pub max_synthesis_k: usize,
+    pub(crate) max_synthesis_k: usize,
     /// Seed for the SAT fallback's branching phases (solution sampling).
-    pub seed: Option<u64>,
+    pub(crate) seed: Option<u64>,
 }
 
-impl Default for PlanOptions {
-    fn default() -> PlanOptions {
-        PlanOptions {
-            max_synthesis_k: 3,
-            seed: None,
-        }
+/// Asymptotic round complexity a tier promises.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Complexity {
+    /// `O(1)` rounds.
+    Constant,
+    /// `O(log* n)` rounds.
+    LogStar,
+    /// `Θ(√n)` rounds (corner coordination).
+    SqrtN,
+    /// `Θ(n)` rounds (gather everything).
+    Linear,
+}
+
+/// The family of topologies a tier accepts — the coarse dispatch
+/// dimension of [`Capabilities`]. Finer constraints (dimension-dependent
+/// palette sizes, parity of the side length) are the tier's own business
+/// and surface as typed per-instance errors.
+#[derive(Clone, Copy)]
+pub(crate) enum TopologySupport {
+    /// Exactly the oriented 2-d torus.
+    Torus2,
+    /// Oriented tori of every dimension `d ≥ 2` (2-d instances are
+    /// presented to the tier in their `Torus2` form).
+    AnyTorusD,
+    /// Boundary grids.
+    Boundary,
+}
+
+impl TopologySupport {
+    /// True iff a tier with this support accepts an instance of the given
+    /// topology.
+    pub(crate) fn accepts(self, topology: Topology) -> bool {
+        matches!(
+            (self, topology),
+            (TopologySupport::Torus2, Topology::Torus2)
+                | (
+                    TopologySupport::AnyTorusD,
+                    Topology::Torus2 | Topology::TorusD { .. }
+                )
+                | (TopologySupport::Boundary, Topology::Boundary)
+        )
     }
+}
+
+/// What a tier supports: consulted by the walk before dispatch.
+#[derive(Clone, Copy)]
+pub(crate) struct Capabilities {
+    /// The topology family the tier runs on.
+    pub(crate) topology: TopologySupport,
+    /// Smallest supported side length.
+    pub(crate) min_side: usize,
+    /// True if only equal side lengths are supported.
+    pub(crate) square_only: bool,
+    /// Promised asymptotic round complexity.
+    pub(crate) complexity: Complexity,
 }
 
 /// Aggregate counters of the synthesis cache: how often a request was
@@ -93,8 +140,8 @@ pub(crate) struct SynthCache {
     synthesised: AtomicU64,
 }
 
-/// The stable name of the synthesis adapter, used by
-/// [`crate::engine::Engine::classify`] to tell certified hand-built
+/// The stable name of the synthesis tier, used by
+/// [`crate::engine::PreparedProblem::classify`] to tell certified hand-built
 /// `O(log* n)` solvers apart from the conditional synthesis path.
 pub(crate) const SYNTHESIS_SOLVER_NAME: &str = "synthesised-tiles";
 
@@ -203,12 +250,12 @@ impl SynthCache {
     }
 }
 
-/// Maps a `(problem, topology)` pair to an ordered plan of [`Solve`]
-/// implementations, best first. Also the home of the named problem
-/// library and the shared synthesis cache.
+/// Maps a `(problem, topology)` pair to an ordered solver plan, best
+/// first. Also the home of the named problem library and the shared
+/// synthesis cache.
 #[derive(Default)]
 pub struct Registry {
-    synth_cache: Arc<SynthCache>,
+    synth_cache: SynthCache,
 }
 
 impl Registry {
@@ -251,100 +298,62 @@ impl Registry {
     }
 
     /// Resolves the ordered solver plan for a problem, covering every
-    /// topology the problem has registered solvers on; the engine filters
-    /// by the instance's topology at dispatch time. An empty plan means
+    /// topology the problem has tiers on; the walk filters by the
+    /// instance's topology at dispatch time. An empty plan means
     /// [`SolveError::NoSolver`].
-    pub fn plan(&self, spec: &ProblemSpec, opts: &PlanOptions) -> Vec<Box<dyn Solve>> {
-        let mut plan: Vec<Box<dyn Solve>> = Vec::new();
+    pub(crate) fn plan(spec: &ProblemSpec) -> Vec<Tier> {
         if spec.home_topology() == Topology::Boundary {
-            plan.push(Box::new(CornerSolver {
-                problem: spec.name().to_string(),
-            }));
-            return plan;
+            return vec![Tier::BoundaryPaths];
         }
         if let Some((metric, k)) = spec.mis_power_params() {
-            plan.push(Box::new(MisPowerSolver {
-                problem: spec.name().to_string(),
-                metric,
-                k,
-            }));
-            plan.push(Box::new(GreedyMisDSolver {
-                problem: spec.name().to_string(),
-                metric,
-                k,
-            }));
-            return plan;
+            return vec![Tier::PowerMis { metric, k }, Tier::GreedyMisD { metric, k }];
         }
-        let problem = match spec.grid_problem() {
-            Some(p) => p,
-            None => return plan,
+        let mut plan = Vec::new();
+        let Some(problem) = spec.grid_problem() else {
+            return plan;
         };
         if let Some(label) = problem.constant_solution() {
-            plan.push(Box::new(ConstantSolver {
-                problem: spec.name().to_string(),
+            plan.push(Tier::Constant {
                 label,
-                topology: if spec.constant_solution_on_any_torus() {
-                    TopologySupport::AnyTorusD
-                } else {
-                    TopologySupport::Torus2
-                },
-            }));
+                any_torus: spec.constant_solution_on_any_torus(),
+            });
         }
         match problem {
-            GridProblem::VertexColouring { k: 4 } => plan.push(Box::new(BallCarvingSolver {
-                problem: spec.name().to_string(),
-                algo: FourColouring::new(Profile::Practical),
-            })),
-            GridProblem::EdgeColouring { k: 5 } => plan.push(Box::new(CutAndColourSolver {
-                problem: spec.name().to_string(),
-                algo: EdgeColouring::new(Profile::Practical),
-            })),
+            GridProblem::VertexColouring { k: 4 } => {
+                plan.push(Tier::BallCarving(FourColouring::new(Profile::Practical)))
+            }
+            GridProblem::EdgeColouring { k: 5 } => {
+                plan.push(Tier::CutAndColour(EdgeColouring::new(Profile::Practical)))
+            }
             _ => {}
         }
         if synthesisable(problem) {
-            plan.push(Box::new(SynthesisSolver {
-                problem: spec.name().to_string(),
-                grid_problem: problem.clone(),
-                max_k: opts.max_synthesis_k,
-                cache: Arc::clone(&self.synth_cache),
-            }));
+            plan.push(Tier::Synthesis);
         }
         // Theorem 21's even-n edge 2d-colouring: the only registered
         // d ≥ 3 path for a block problem, and also an exact (and
         // CDCL-free) Θ(n) route for edge 2d-colouring of 2-d tori.
         if let GridProblem::EdgeColouring { k } = problem {
             if k % 2 == 0 && *k >= 4 {
-                plan.push(Box::new(DdimEdgeSolver {
-                    problem: spec.name().to_string(),
-                    k: *k,
-                }));
+                plan.push(Tier::DdimParityEdge { k: *k });
             }
         }
         // SAT existence: exact for every n, Θ(n) rounds, small alphabets
         // only for the generic encoder (≤ 16 *live* labels — dead ones
         // get no variables, so a pruned table may be encodable even when
         // the declared alphabet is not).
-        let sat_encodable = !matches!(problem, GridProblem::Block(b) if b.live_labels().len() > 16);
-        if sat_encodable {
-            plan.push(Box::new(SatExistenceSolver {
-                problem: spec.name().to_string(),
-                grid_problem: problem.clone(),
-                seed: opts.seed,
-            }));
+        if !matches!(problem, GridProblem::Block(b) if b.live_labels().len() > 16) {
+            plan.push(Tier::SatExistence);
         }
         // Block problems whose predicate factors into one axis-symmetric
         // pair relation (vertex-colouring-like `lcl-lang` definitions,
         // independent sets) additionally get the d-dimensional SAT
         // existence route: exact solves and `Unsolvable` verdicts on
         // every torus dimension, not just d = 2. The relation table is
-        // derived once here and carried by the solver.
+        // derived once here and carried by the tier.
         if let GridProblem::Block(b) = problem {
             if let Some(pairs) = b.axis_symmetric_pairs() {
-                plan.push(Box::new(DdimPairwiseSatSolver {
-                    problem: spec.name().to_string(),
-                    alphabet: b.alphabet(),
-                    pairs,
-                }));
+                plan.push(Tier::DdimPairwiseSat { pairs });
             }
         }
         plan
@@ -379,8 +388,8 @@ impl Registry {
             .unwrap_or_else(|| format!("{}@k{max_k}", spec.name()))
     }
 
-    /// Memoised synthesis for a spec (the adapter [`Engine::classify`]
-    /// and [`SynthesisSolver`] share), budget-aware: a
+    /// Memoised synthesis for a spec (what [`Engine::classify`] and the
+    /// synthesis tier share), budget-aware: a
     /// budget trip returns `Err` *without* memoising anything (see
     /// [`SynthCache::get_or_synthesize`]), so an interrupted
     /// search can never masquerade as a negative classification verdict.
@@ -401,7 +410,300 @@ impl Registry {
     }
 }
 
-/// Internal guard: the engine's capability filter must have routed a 2-d
+/// One tier of a solver plan: an entry of the paper's fixed algorithm
+/// menu, carrying only what the plan derived for it. The problem, the
+/// synthesis memo and the SAT seed come from the prepared plan at run
+/// time.
+pub(crate) enum Tier {
+    /// `O(1)`: output the constant label everywhere (§7 triviality
+    /// criterion); `any_torus` when it stays valid in every dimension.
+    Constant { label: Label, any_torus: bool },
+    /// §8: vertex 4-colouring by ball carving, `O(log* n)`.
+    BallCarving(FourColouring),
+    /// §10: edge 5-colouring via `j,k`-independent cut sets, `O(log* n)`.
+    CutAndColour(EdgeColouring),
+    /// §7: the synthesised normal form `A′ ∘ S_k`, `O(log* n)`, memoised.
+    Synthesis,
+    /// Theorem 21: the even-`n` edge `2d`-colouring witness on
+    /// d-dimensional tori, with the exact parity impossibility for odd
+    /// `n`. A centralised construction (colours come from global
+    /// coordinate parity), so it charges the full gather like the SAT
+    /// baseline — but needs no CDCL call, and it is the only registered
+    /// route for `d ≥ 3` block problems.
+    DdimParityEdge { k: u16 },
+    /// §8's anchor substrate on 2-d tori: distributed MIS of the
+    /// `metric`-power via Linial colour reduction, `O(log* n)` with the
+    /// power-graph simulation slowdown.
+    PowerMis { metric: Metric, k: usize },
+    /// The centralised greedy MIS sweep on d-dimensional torus powers
+    /// (`lcl_algorithms::ddim::greedy_mis`) — the deterministic reference
+    /// implementation of the anchor substrate `S_k`, exact on every
+    /// dimension but `Θ(n)` as a LOCAL algorithm (the sweep order is
+    /// global).
+    GreedyMisD { metric: Metric, k: usize },
+    /// Appendix A.3: corner coordination on boundary grids, `Θ(√n)`.
+    /// Labels encode each node's out-pointer: 0 = none, 1 = north,
+    /// 2 = east, 3 = south, 4 = west.
+    BoundaryPaths,
+    /// The d-dimensional arm of the `Θ(n)` baseline, for block problems
+    /// that factor into one axis-symmetric pair relation
+    /// ([`lcl_core::lcl::BlockLcl::axis_symmetric_pairs`]): gather the
+    /// whole torus and hand the pairwise CNF to the CDCL solver
+    /// ([`existence::solve_pairwise_d`]). Exact in every dimension — the
+    /// route that extends `Unsolvable` verdicts beyond Theorem 21 to
+    /// compiled `lcl-lang` problems on d ≥ 3 tori.
+    DdimPairwiseSat { pairs: Vec<bool> },
+    /// The `Θ(n)` baseline: gather the whole grid and let the CDCL solver
+    /// produce a canonical solution; exact unsolvability proofs for free.
+    SatExistence,
+}
+
+impl Tier {
+    /// Stable tier name for reports, errors and health counters.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Tier::Constant { .. } => "constant",
+            Tier::BallCarving(_) => "ball-carving-4-colouring",
+            Tier::CutAndColour(_) => "cut-and-colour-5-edge-colouring",
+            Tier::Synthesis => SYNTHESIS_SOLVER_NAME,
+            Tier::DdimParityEdge { .. } => "ddim-parity-edge-colouring",
+            Tier::PowerMis { .. } => "power-mis-log-star",
+            Tier::GreedyMisD { .. } => "ddim-greedy-mis",
+            Tier::BoundaryPaths => "boundary-paths",
+            Tier::DdimPairwiseSat { .. } => "ddim-pairwise-sat",
+            Tier::SatExistence => "sat-existence",
+        }
+    }
+
+    /// What instances this tier accepts.
+    pub(crate) fn capabilities(&self) -> Capabilities {
+        use Complexity::{Constant, Linear, LogStar, SqrtN};
+        use TopologySupport::{AnyTorusD, Boundary, Torus2};
+        let (topology, min_side, square_only, complexity) = match self {
+            Tier::Constant { any_torus, .. } => (
+                if *any_torus { AnyTorusD } else { Torus2 },
+                1,
+                false,
+                Constant,
+            ),
+            Tier::BallCarving(algo) => (Torus2, algo.min_side(), true, LogStar),
+            Tier::CutAndColour(algo) => (Torus2, algo.min_side(), true, LogStar),
+            // The smallest conceivable window frame (k = 1, 3×2 window);
+            // the exact bound depends on the synthesised k and is checked
+            // again when the tier runs.
+            Tier::Synthesis => (Torus2, 5, false, LogStar),
+            Tier::DdimParityEdge { .. } => (AnyTorusD, 2, true, Linear),
+            Tier::PowerMis { .. } => (Torus2, 2, true, LogStar),
+            Tier::GreedyMisD { .. } => (AnyTorusD, 1, true, Linear),
+            Tier::BoundaryPaths => (Boundary, 2, true, SqrtN),
+            Tier::DdimPairwiseSat { .. } => (AnyTorusD, 1, true, Linear),
+            Tier::SatExistence => (Torus2, 1, false, Linear),
+        };
+        Capabilities {
+            topology,
+            min_side,
+            square_only,
+            complexity,
+        }
+    }
+
+    /// Solves one instance of `spec` under a cooperative [`Budget`],
+    /// never panicking on bad input. The walk checks the budget once
+    /// before every dispatch, so the closed-form constructions, which
+    /// finish in microseconds, ignore it. The tiers with unbounded search
+    /// inside (the SAT existence encoders, synthesis) check it at
+    /// propagation/fixpoint granularity and surface trips as
+    /// [`SolveError::DeadlineExceeded`] / [`SolveError::Cancelled`].
+    pub(crate) fn run(
+        &self,
+        spec: &ProblemSpec,
+        registry: &Registry,
+        opts: &PlanOptions,
+        inst: &Instance,
+        budget: &Budget,
+    ) -> Result<Labelling, SolveError> {
+        let (problem, name) = (spec.name(), self.name());
+        let (labels, report) = match self {
+            Tier::Constant { label, .. } => {
+                let mut rounds = Rounds::new();
+                rounds.charge("constant-output", 0);
+                (
+                    vec![*label; inst.node_count()],
+                    SolveReport::new(problem, name, rounds),
+                )
+            }
+            Tier::BallCarving(algo) => {
+                let run = algo
+                    .try_solve(expect_torus2(inst, name)?)
+                    .map_err(|e| algo_error(problem, name, e))?;
+                let report = SolveReport::new(problem, name, run.rounds)
+                    .with_detail("ell", run.ell)
+                    .with_detail("anchors", run.anchors)
+                    .with_detail("max_component", run.max_component);
+                (run.labels, report)
+            }
+            Tier::CutAndColour(algo) => {
+                let run = algo
+                    .try_solve(expect_torus2(inst, name)?)
+                    .map_err(|e| algo_error(problem, name, e))?;
+                let report = SolveReport::new(problem, name, run.rounds)
+                    .with_detail("k", run.k)
+                    .with_detail("spacing", run.spacing)
+                    .with_detail("measured_j", run.measured_j);
+                (run.labels, report)
+            }
+            Tier::Synthesis => {
+                let inst = expect_torus2(inst, name)?;
+                let max_k = opts.max_synthesis_k;
+                let algo = registry
+                    .memoised_synthesis(spec, max_k, budget)
+                    .map_err(|e| budget_error(name, budget, e))?
+                    .ok_or_else(|| SolveError::SynthesisFailed {
+                        problem: problem.to_string(),
+                        max_k,
+                    })?;
+                let run = algo.try_run(inst).map_err(|e| match e {
+                    SynthRunError::TorusTooSmall { min_side, .. } => SolveError::TorusTooSmall {
+                        problem: problem.to_string(),
+                        min_side,
+                        side: inst.torus().width().min(inst.torus().height()),
+                    },
+                    SynthRunError::UnrealizableWindow { at } => SolveError::SolverFailed {
+                        solver: name.to_string(),
+                        detail: format!("anchor window at {at} is not a realizable tile"),
+                    },
+                })?;
+                let report = SolveReport::new(problem, name, run.rounds)
+                    .with_detail("k", algo.k())
+                    .with_detail("window", algo.shape())
+                    .with_detail("table_len", algo.table_len());
+                (run.labels, report)
+            }
+            Tier::DdimParityEdge { k } => {
+                let torus = torus_d_of(inst, name)?;
+                let d = torus.dim();
+                if usize::from(*k) != 2 * d {
+                    return Err(SolveError::UnsupportedTopology {
+                        problem: problem.to_string(),
+                        topology: inst.topology().to_string(),
+                        reason: format!(
+                            "the parity construction colours with exactly 2d = {} colours, not {k}",
+                            2 * d
+                        ),
+                    });
+                }
+                if torus.side() % 2 != 0 {
+                    // Exact: Theorem 21's counting argument rules out edge
+                    // 2d-colourings of odd-side tori in every dimension.
+                    return Err(SolveError::Unsolvable {
+                        problem: problem.to_string(),
+                        dims: inst.dims(),
+                    });
+                }
+                let labels = ddim::edge_2d_colouring_even(&torus)
+                    .to_labels(*k)
+                    .ok_or_else(|| SolveError::SolverFailed {
+                        solver: name.to_string(),
+                        detail: format!("{k}^{d} exceeds the label space"),
+                    })?;
+                let mut rounds = Rounds::new();
+                // Coordinate parity is global information: gather the
+                // diameter.
+                rounds.charge("gather-whole-grid", gather_rounds(&torus));
+                rounds.charge("parity-colouring", 0);
+                let report = SolveReport::new(problem, name, rounds)
+                    .with_detail("d", d)
+                    .with_detail("palette", k);
+                (labels, report)
+            }
+            Tier::PowerMis { metric, k } => {
+                let inst = expect_torus2(inst, name)?;
+                let run = lcl_symmetry::mis_torus_power(&inst.torus(), *metric, *k, inst.ids());
+                let report = SolveReport::new(problem, name, run.rounds)
+                    .with_detail("metric", format!("{metric:?}"))
+                    .with_detail("k", k);
+                (run.in_mis.iter().map(|&m| Label::from(m)).collect(), report)
+            }
+            Tier::GreedyMisD { metric, k } => {
+                let torus = torus_d_of(inst, name)?;
+                let marked = ddim::greedy_mis(&torus, *metric, *k);
+                let mut rounds = Rounds::new();
+                rounds.charge("gather-whole-grid", gather_rounds(&torus));
+                rounds.charge("greedy-sweep", 0);
+                let report = SolveReport::new(problem, name, rounds)
+                    .with_detail("d", torus.dim())
+                    .with_detail("metric", format!("{metric:?}"))
+                    .with_detail("k", k)
+                    .with_detail("reference", "centralised greedy sweep");
+                (marked.iter().map(|&m| Label::from(m)).collect(), report)
+            }
+            Tier::BoundaryPaths => {
+                let grid: &BoundaryGrid =
+                    inst.as_boundary().ok_or_else(|| SolveError::SolverFailed {
+                        solver: name.to_string(),
+                        detail: format!(
+                            "dispatched a {} to the boundary-grid solver",
+                            inst.topology()
+                        ),
+                    })?;
+                let forest = corner::solve_boundary_paths(grid);
+                corner::check(grid, &forest).map_err(|detail| SolveError::SolverFailed {
+                    solver: name.to_string(),
+                    detail,
+                })?;
+                let mut rounds = Rounds::new();
+                // Proposition 28: radius 2√n = 2m exploration suffices.
+                rounds.charge("corner-exploration", 2 * grid.side() as u64);
+                (
+                    super::encode_forest(grid, &forest),
+                    SolveReport::new(problem, name, rounds),
+                )
+            }
+            Tier::DdimPairwiseSat { pairs } => {
+                let torus = torus_d_of(inst, name)?;
+                let labels =
+                    existence::solve_pairwise_d_budgeted(&torus, spec.alphabet(), pairs, budget)
+                        .map_err(|e| budget_error(name, budget, e))?
+                        .ok_or_else(|| SolveError::Unsolvable {
+                            problem: problem.to_string(),
+                            dims: inst.dims(),
+                        })?;
+                let mut rounds = Rounds::new();
+                // Gathering the full instance costs the torus diameter.
+                rounds.charge("gather-whole-grid", gather_rounds(&torus));
+                rounds.charge("central-sat-solve", 0);
+                let report = SolveReport::new(problem, name, rounds).with_detail("d", torus.dim());
+                (labels, report)
+            }
+            Tier::SatExistence => {
+                let torus = expect_torus2(inst, name)?.torus();
+                let grid_problem = spec
+                    .grid_problem()
+                    .ok_or_else(|| SolveError::SolverFailed {
+                        solver: name.to_string(),
+                        detail: format!("{problem} has no block form"),
+                    })?;
+                let labels = existence::solve_budgeted(grid_problem, &torus, opts.seed, budget)
+                    .map_err(|e| budget_error(name, budget, e))?
+                    .ok_or_else(|| SolveError::Unsolvable {
+                        problem: problem.to_string(),
+                        dims: vec![torus.width(), torus.height()],
+                    })?;
+                let mut rounds = Rounds::new();
+                // Gathering the full instance costs the torus diameter.
+                rounds.charge(
+                    "gather-whole-grid",
+                    (torus.width() / 2 + torus.height() / 2) as u64,
+                );
+                rounds.charge("central-sat-solve", 0);
+                (labels, SolveReport::new(problem, name, rounds))
+            }
+        };
+        Ok(Labelling { labels, report })
+    }
+}
+
+/// Internal guard: the walk's capability filter must have routed a 2-d
 /// instance here; anything else is an engine bug surfaced as a typed
 /// error rather than a panic.
 fn expect_torus2<'i>(inst: &'i Instance, solver: &str) -> Result<&'i GridInstance, SolveError> {
@@ -426,35 +728,9 @@ fn torus_d_of(inst: &Instance, solver: &str) -> Result<TorusD, SolveError> {
     }
 }
 
-/// `O(1)`: output the constant label everywhere (§7 triviality criterion).
-struct ConstantSolver {
-    problem: String,
-    label: u16,
-    topology: TopologySupport,
-}
-
-impl Solve for ConstantSolver {
-    fn name(&self) -> &str {
-        "constant"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: self.topology,
-            min_side: 1,
-            square_only: false,
-            complexity: Complexity::Constant,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
-        let mut rounds = Rounds::new();
-        rounds.charge("constant-output", 0);
-        Ok(Labelling {
-            labels: vec![self.label; inst.node_count()],
-            report: SolveReport::new(&self.problem, self.name(), rounds),
-        })
-    }
+/// LOCAL rounds to gather a whole d-dimensional torus: its diameter.
+fn gather_rounds(torus: &TorusD) -> u64 {
+    (torus.dim() * (torus.side() / 2)) as u64
 }
 
 fn algo_error(problem: &str, solver: &str, e: AlgoError) -> SolveError {
@@ -468,419 +744,5 @@ fn algo_error(problem: &str, solver: &str, e: AlgoError) -> SolveError {
             solver: solver.to_string(),
             detail,
         },
-    }
-}
-
-/// §8: vertex 4-colouring by ball carving, `O(log* n)`.
-struct BallCarvingSolver {
-    problem: String,
-    algo: FourColouring,
-}
-
-impl Solve for BallCarvingSolver {
-    fn name(&self) -> &str {
-        "ball-carving-4-colouring"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::Torus2,
-            min_side: self.algo.min_side(),
-            square_only: true,
-            complexity: Complexity::LogStar,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
-        let inst = expect_torus2(inst, self.name())?;
-        let run = self
-            .algo
-            .try_solve(inst)
-            .map_err(|e| algo_error(&self.problem, self.name(), e))?;
-        let report = SolveReport::new(&self.problem, self.name(), run.rounds)
-            .with_detail("ell", run.ell)
-            .with_detail("anchors", run.anchors)
-            .with_detail("max_component", run.max_component);
-        Ok(Labelling {
-            labels: run.labels,
-            report,
-        })
-    }
-}
-
-/// §10: edge 5-colouring via `j,k`-independent cut sets, `O(log* n)`.
-struct CutAndColourSolver {
-    problem: String,
-    algo: EdgeColouring,
-}
-
-impl Solve for CutAndColourSolver {
-    fn name(&self) -> &str {
-        "cut-and-colour-5-edge-colouring"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::Torus2,
-            min_side: self.algo.min_side(),
-            square_only: true,
-            complexity: Complexity::LogStar,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
-        let inst = expect_torus2(inst, self.name())?;
-        let run = self
-            .algo
-            .try_solve(inst)
-            .map_err(|e| algo_error(&self.problem, self.name(), e))?;
-        let report = SolveReport::new(&self.problem, self.name(), run.rounds)
-            .with_detail("k", run.k)
-            .with_detail("spacing", run.spacing)
-            .with_detail("measured_j", run.measured_j);
-        Ok(Labelling {
-            labels: run.labels,
-            report,
-        })
-    }
-}
-
-/// §7: the synthesised normal form `A′ ∘ S_k`, `O(log* n)`, memoised.
-struct SynthesisSolver {
-    problem: String,
-    grid_problem: GridProblem,
-    max_k: usize,
-    cache: Arc<SynthCache>,
-}
-
-impl Solve for SynthesisSolver {
-    fn name(&self) -> &str {
-        SYNTHESIS_SOLVER_NAME
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::Torus2,
-            // The smallest conceivable window frame (k = 1, 3×2 window);
-            // the exact bound depends on the synthesised k and is checked
-            // again in solve().
-            min_side: 5,
-            square_only: false,
-            complexity: Complexity::LogStar,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
-        let inst = expect_torus2(inst, self.name())?;
-        let outcome = self
-            .cache
-            .get_or_synthesize(&self.grid_problem, &self.problem, self.max_k, budget)
-            .map_err(|e| budget_error(self.name(), budget, e))?;
-        let algo = outcome.ok_or_else(|| SolveError::SynthesisFailed {
-            problem: self.problem.clone(),
-            max_k: self.max_k,
-        })?;
-        let run = algo.try_run(inst).map_err(|e| match e {
-            SynthRunError::TorusTooSmall { min_side, .. } => SolveError::TorusTooSmall {
-                problem: self.problem.clone(),
-                min_side,
-                side: inst.torus().width().min(inst.torus().height()),
-            },
-            SynthRunError::UnrealizableWindow { at } => SolveError::SolverFailed {
-                solver: self.name().to_string(),
-                detail: format!("anchor window at {at} is not a realizable tile"),
-            },
-        })?;
-        let report = SolveReport::new(&self.problem, self.name(), run.rounds)
-            .with_detail("k", algo.k())
-            .with_detail("window", algo.shape())
-            .with_detail("table_len", algo.table_len());
-        Ok(Labelling {
-            labels: run.labels,
-            report,
-        })
-    }
-}
-
-/// Theorem 21: the even-`n` edge `2d`-colouring witness on d-dimensional
-/// tori, with the exact parity impossibility for odd `n`. A centralised
-/// construction (colours come from global coordinate parity), so it
-/// charges the full gather like the SAT baseline — but needs no CDCL
-/// call, and it is the only registered route for `d ≥ 3` block problems.
-struct DdimEdgeSolver {
-    problem: String,
-    k: u16,
-}
-
-impl Solve for DdimEdgeSolver {
-    fn name(&self) -> &str {
-        "ddim-parity-edge-colouring"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::AnyTorusD,
-            min_side: 2,
-            square_only: true,
-            complexity: Complexity::Linear,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
-        let torus = torus_d_of(inst, self.name())?;
-        let d = torus.dim();
-        if usize::from(self.k) != 2 * d {
-            return Err(SolveError::UnsupportedTopology {
-                problem: self.problem.clone(),
-                topology: inst.topology().to_string(),
-                reason: format!(
-                    "the parity construction colours with exactly 2d = {} colours, not {}",
-                    2 * d,
-                    self.k
-                ),
-            });
-        }
-        if torus.side() % 2 != 0 {
-            // Exact: Theorem 21's counting argument rules out edge
-            // 2d-colourings of odd-side tori in every dimension.
-            return Err(SolveError::Unsolvable {
-                problem: self.problem.clone(),
-                dims: inst.dims(),
-            });
-        }
-        let colouring = ddim::edge_2d_colouring_even(&torus);
-        let labels = colouring
-            .to_labels(self.k)
-            .ok_or_else(|| SolveError::SolverFailed {
-                solver: self.name().to_string(),
-                detail: format!("{}^{} exceeds the label space", self.k, d),
-            })?;
-        let mut rounds = Rounds::new();
-        // Coordinate parity is global information: gather the diameter.
-        rounds.charge("gather-whole-grid", (d * (torus.side() / 2)) as u64);
-        rounds.charge("parity-colouring", 0);
-        let report = SolveReport::new(&self.problem, self.name(), rounds)
-            .with_detail("d", d)
-            .with_detail("palette", self.k);
-        Ok(Labelling { labels, report })
-    }
-}
-
-/// §8's anchor substrate on 2-d tori: distributed MIS of the
-/// `metric`-power via Linial colour reduction, `O(log* n)` with the
-/// power-graph simulation slowdown.
-struct MisPowerSolver {
-    problem: String,
-    metric: Metric,
-    k: usize,
-}
-
-impl Solve for MisPowerSolver {
-    fn name(&self) -> &str {
-        "power-mis-log-star"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::Torus2,
-            min_side: 2,
-            square_only: true,
-            complexity: Complexity::LogStar,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
-        let inst = expect_torus2(inst, self.name())?;
-        let torus = inst.torus();
-        let run = lcl_symmetry::mis_torus_power(&torus, self.metric, self.k, inst.ids());
-        let labels = run.in_mis.iter().map(|&m| u16::from(m)).collect();
-        let report = SolveReport::new(&self.problem, self.name(), run.rounds)
-            .with_detail("metric", format!("{:?}", self.metric))
-            .with_detail("k", self.k);
-        Ok(Labelling { labels, report })
-    }
-}
-
-/// The centralised greedy MIS sweep on d-dimensional torus powers
-/// (`lcl_algorithms::ddim::greedy_mis`) — the deterministic reference
-/// implementation of the anchor substrate `S_k`, exact on every
-/// dimension but `Θ(n)` as a LOCAL algorithm (the sweep order is global).
-struct GreedyMisDSolver {
-    problem: String,
-    metric: Metric,
-    k: usize,
-}
-
-impl Solve for GreedyMisDSolver {
-    fn name(&self) -> &str {
-        "ddim-greedy-mis"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::AnyTorusD,
-            min_side: 1,
-            square_only: true,
-            complexity: Complexity::Linear,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
-        let torus = torus_d_of(inst, self.name())?;
-        let marked = ddim::greedy_mis(&torus, self.metric, self.k);
-        let labels = marked.iter().map(|&m| u16::from(m)).collect();
-        let mut rounds = Rounds::new();
-        rounds.charge(
-            "gather-whole-grid",
-            (torus.dim() * (torus.side() / 2)) as u64,
-        );
-        rounds.charge("greedy-sweep", 0);
-        let report = SolveReport::new(&self.problem, self.name(), rounds)
-            .with_detail("d", torus.dim())
-            .with_detail("metric", format!("{:?}", self.metric))
-            .with_detail("k", self.k)
-            .with_detail("reference", "centralised greedy sweep");
-        Ok(Labelling { labels, report })
-    }
-}
-
-/// Appendix A.3: corner coordination on boundary grids, `Θ(√n)` —
-/// registered like every other solver instead of living behind a
-/// dedicated engine entry point. Labels encode each node's out-pointer:
-/// 0 = none, 1 = north, 2 = east, 3 = south, 4 = west.
-struct CornerSolver {
-    problem: String,
-}
-
-impl Solve for CornerSolver {
-    fn name(&self) -> &str {
-        "boundary-paths"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::Boundary,
-            min_side: 2,
-            square_only: true,
-            complexity: Complexity::SqrtN,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, _budget: &Budget) -> Result<Labelling, SolveError> {
-        let grid: &BoundaryGrid = inst.as_boundary().ok_or_else(|| SolveError::SolverFailed {
-            solver: self.name().to_string(),
-            detail: format!(
-                "dispatched a {} to the boundary-grid solver",
-                inst.topology()
-            ),
-        })?;
-        let forest = corner::solve_boundary_paths(grid);
-        corner::check(grid, &forest).map_err(|detail| SolveError::SolverFailed {
-            solver: self.name().to_string(),
-            detail,
-        })?;
-        let labels = super::encode_forest(grid, &forest);
-        let mut rounds = Rounds::new();
-        // Proposition 28: radius 2√n = 2m exploration suffices.
-        rounds.charge("corner-exploration", 2 * grid.side() as u64);
-        Ok(Labelling {
-            labels,
-            report: SolveReport::new(&self.problem, self.name(), rounds),
-        })
-    }
-}
-
-/// The d-dimensional arm of the `Θ(n)` baseline, for block problems that
-/// factor into one axis-symmetric pair relation
-/// ([`lcl_core::lcl::BlockLcl::axis_symmetric_pairs`] — derived once at
-/// plan time and carried here): gather the whole torus and hand the
-/// pairwise CNF to the CDCL solver ([`existence::solve_pairwise_d`]).
-/// Exact in every dimension — the route that extends `Unsolvable`
-/// verdicts beyond Theorem 21 to compiled `lcl-lang` problems on d ≥ 3
-/// tori.
-struct DdimPairwiseSatSolver {
-    problem: String,
-    alphabet: u16,
-    pairs: Vec<bool>,
-}
-
-impl Solve for DdimPairwiseSatSolver {
-    fn name(&self) -> &str {
-        "ddim-pairwise-sat"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::AnyTorusD,
-            min_side: 1,
-            square_only: true,
-            complexity: Complexity::Linear,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
-        let torus = torus_d_of(inst, self.name())?;
-        let labels =
-            existence::solve_pairwise_d_budgeted(&torus, self.alphabet, &self.pairs, budget)
-                .map_err(|e| budget_error(self.name(), budget, e))?
-                .ok_or_else(|| SolveError::Unsolvable {
-                    problem: self.problem.clone(),
-                    dims: inst.dims(),
-                })?;
-        let mut rounds = Rounds::new();
-        // Gathering the full instance costs the torus diameter.
-        rounds.charge(
-            "gather-whole-grid",
-            (torus.dim() * (torus.side() / 2)) as u64,
-        );
-        rounds.charge("central-sat-solve", 0);
-        let report =
-            SolveReport::new(&self.problem, self.name(), rounds).with_detail("d", torus.dim());
-        Ok(Labelling { labels, report })
-    }
-}
-
-/// The `Θ(n)` baseline: gather the whole grid and let the CDCL solver
-/// produce a canonical solution; exact unsolvability proofs for free.
-struct SatExistenceSolver {
-    problem: String,
-    grid_problem: GridProblem,
-    seed: Option<u64>,
-}
-
-impl Solve for SatExistenceSolver {
-    fn name(&self) -> &str {
-        "sat-existence"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            topology: TopologySupport::Torus2,
-            min_side: 1,
-            square_only: false,
-            complexity: Complexity::Linear,
-        }
-    }
-
-    fn solve(&self, inst: &Instance, budget: &Budget) -> Result<Labelling, SolveError> {
-        let inst = expect_torus2(inst, self.name())?;
-        let torus = inst.torus();
-        let labels = existence::solve_budgeted(&self.grid_problem, &torus, self.seed, budget)
-            .map_err(|e| budget_error(self.name(), budget, e))?
-            .ok_or_else(|| SolveError::Unsolvable {
-                problem: self.problem.clone(),
-                dims: vec![torus.width(), torus.height()],
-            })?;
-        let mut rounds = Rounds::new();
-        // Gathering the full instance costs the torus diameter.
-        rounds.charge(
-            "gather-whole-grid",
-            (torus.width() / 2 + torus.height() / 2) as u64,
-        );
-        rounds.charge("central-sat-solve", 0);
-        Ok(Labelling {
-            labels,
-            report: SolveReport::new(&self.problem, self.name(), rounds),
-        })
     }
 }

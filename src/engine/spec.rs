@@ -93,6 +93,10 @@ impl ProblemSpec {
     /// problem reads as edge `k`-colouring of the `2d`-regular torus
     /// graph — Theorem 21's `k = 2d` case is solvable exactly for even
     /// side lengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `k > 255` (the `k²` labels must fit a `u16`).
     pub fn edge_colouring(k: u16) -> ProblemSpec {
         ProblemSpec::from_problem(problems::edge_colouring(k))
     }
@@ -292,19 +296,29 @@ impl ProblemSpec {
         }
     }
 
-    /// The canonical normal form: the explicit set of allowed 2×2 blocks,
-    /// tabulated from the problem's validity predicate. `None` for
-    /// problems without a radius-1 block normal form (corner coordination,
-    /// MIS powers with `k ≥ 2`).
+    /// The canonical normal form: the explicit set of allowed 2×2 blocks.
+    /// A [`GridProblem::Block`] spec returns its own table; a structured
+    /// problem is tabulated from its validity predicate while its
+    /// alphabet⁴ windows stay within
+    /// [`lcl_lang::compile::MAX_WINDOW_ENUMERATION`], the bound the
+    /// `lcl-lang` compiler applies too.
+    ///
+    /// `None` for problems without a radius-1 block normal form (corner
+    /// coordination, MIS powers) and for structured problems above that
+    /// bound (vertex `k ≥ 33` and edge `k ≥ 6` colourings), whose tables
+    /// would cost seconds to build and gigabytes to hold.
     ///
     /// This is the "one representation" every radius-1 torus problem
     /// converts to; it also serves as an independent checker for engine
     /// output.
     pub fn to_block_lcl(&self) -> Option<BlockLcl> {
         let p = self.grid_problem()?;
-        Some(BlockLcl::from_predicate(p.alphabet(), |b| {
-            p.block_allowed(b)
-        }))
+        if let GridProblem::Block(b) = p {
+            return Some(b.clone());
+        }
+        let windows = u64::from(p.alphabet()).pow(4);
+        (windows <= lcl_lang::compile::MAX_WINDOW_ENUMERATION)
+            .then(|| BlockLcl::from_predicate(p.alphabet(), |b| p.block_allowed(b)))
     }
 
     /// True iff the 2×2 window is allowed (torus block problems only).

@@ -113,8 +113,7 @@
 pub mod engine;
 
 pub use engine::{
-    Engine, Instance, Job, Labelling, PreparedProblem, ProblemSpec, Registry, Solve, SolveError,
-    Topology,
+    Engine, Instance, Job, Labelling, PreparedProblem, ProblemSpec, Registry, SolveError, Topology,
 };
 
 pub use lcl_algorithms as algorithms;

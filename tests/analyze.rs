@@ -117,6 +117,25 @@ fn raw_block_specs_gain_analysis_at_prepare() {
     assert_eq!(analysis.constant_label(), Some(0));
 }
 
+/// `prepare` tabulates a structured problem for analysis only up to
+/// 2^20 windows: vertex 300-colouring (300⁴ windows, past what
+/// `BlockLcl::from_predicate` accepts) and edge 8-colouring (64⁴) prepare
+/// without an analysis, while edge 5-colouring (25⁴ = 390,625) keeps one.
+#[test]
+fn prepare_analyses_structured_problems_only_up_to_the_window_bound() {
+    let engine = engine_with(&Arc::new(Registry::new()));
+    for spec in [
+        ProblemSpec::vertex_colouring(300),
+        ProblemSpec::edge_colouring(8),
+    ] {
+        let prepared = engine.prepare(&spec).unwrap();
+        assert!(prepared.analysis().is_none(), "{}", spec.name());
+        assert!(spec.to_block_lcl().is_none(), "{}", spec.name());
+    }
+    let edge5 = engine.prepare(&ProblemSpec::edge_colouring(5)).unwrap();
+    assert!(edge5.analysis().is_some());
+}
+
 /// Pads a table with `extra` fresh labels that occur in no allowed
 /// block — pure dead weight the analysis prunes away again.
 fn padded(lcl: &BlockLcl, extra: u16) -> BlockLcl {

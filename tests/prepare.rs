@@ -371,3 +371,49 @@ fn max_prepared_plans_evicts_lru() {
     let inst = Instance::square(4, &IdAssignment::Sequential);
     assert!(handle_a.solve(&inst).is_ok());
 }
+
+/// The resolved plan of every library problem and of a few shapes the
+/// library lacks (a pairwise DSL problem, a constant-solvable DSL table,
+/// vertex 2- and edge 6-colouring), pinned tier by tier; together they
+/// name all ten tiers.
+#[test]
+fn plans_are_pinned_tier_by_tier() {
+    let engine = Engine::builder().build();
+    let mut specs = Registry::problems();
+    specs.extend([
+        ProblemSpec::vertex_colouring(2),
+        ProblemSpec::edge_colouring(6),
+        ProblemSpec::compile("problem vertex-3-colouring { alphabet { r, g, b } edges differ }")
+            .unwrap(),
+        ProblemSpec::compile("problem free {\n  alphabet { x, y }\n}\n").unwrap(),
+    ]);
+    let (constant, synthesis, sat) = ("constant", "synthesised-tiles", "sat-existence");
+    let expected: [&[&str]; 18] = [
+        &[constant, synthesis, sat, "ddim-pairwise-sat"],
+        &[constant, synthesis, sat],
+        &[synthesis, sat],
+        &["ball-carving-4-colouring", synthesis, sat],
+        &[synthesis, sat],
+        &[synthesis, "ddim-parity-edge-colouring", sat],
+        &["cut-and-colour-5-edge-colouring", synthesis, sat],
+        &[synthesis, sat],
+        &[synthesis, sat],
+        &[synthesis, sat],
+        &[synthesis, sat],
+        &[synthesis, sat],
+        &["power-mis-log-star", "ddim-greedy-mis"],
+        &["boundary-paths"],
+        &[synthesis, sat],
+        &[synthesis, "ddim-parity-edge-colouring", sat],
+        &[synthesis, sat, "ddim-pairwise-sat"],
+        &[constant, synthesis, sat, "ddim-pairwise-sat"],
+    ];
+    assert_eq!(specs.len(), expected.len());
+    let mut seen = std::collections::BTreeSet::new();
+    for (spec, want) in specs.iter().zip(expected) {
+        let names = engine.prepare(spec).unwrap().solver_names().join(",");
+        assert_eq!(names, want.join(","), "{}", spec.name());
+        seen.extend(want.iter().copied());
+    }
+    assert_eq!(seen.len(), 10, "every tier occurs in some plan: {seen:?}");
+}
